@@ -27,7 +27,12 @@ from .brill_noether import (
     rho,
 )
 from .divisors import canonical, rank, reduce, riemann_roch_residual, transport
-from .errors import DivGraphError, InvalidInputError, PreconditionViolatedError
+from .errors import (
+    DivGraphError,
+    IntegerTooLargeError,
+    InvalidInputError,
+    PreconditionViolatedError,
+)
 from .graphs import genus, laplacian, refine, spanning_tree_count
 from .harmonic import check_harmonic, contract, pullback, pushforward_contraction, riemann_hurwitz_check
 from .io import (
@@ -394,10 +399,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         report, code = _HANDLERS[args.command](args)
+        try:
+            text = json.dumps(report, indent=2, sort_keys=False)
+        except ValueError as exc:
+            # sys.get_int_max_str_digits() caps int-to-str conversion
+            raise IntegerTooLargeError(str(exc)) from exc
     except DivGraphError as exc:
         print(json.dumps({"error": exc.slug, "message": str(exc)}, sort_keys=True))
         return 2
-    print(json.dumps(report, indent=2, sort_keys=False))
+    print(text)
     return code
 
 

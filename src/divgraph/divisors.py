@@ -166,24 +166,16 @@ def principal_divisor(graph: Multigraph, potential: Mapping[str, int]) -> Diviso
     return Divisor(graph, tuple(coeffs))
 
 
-def _dhar_unburnt(
-    graph: Multigraph, coeffs: Sequence[int], q: int, ignored: Iterable[int] = ()
-) -> list[int]:
+def _dhar_unburnt(graph: Multigraph, coeffs: Sequence[int], q: int) -> list[int]:
     """Indices left unburnt by Dhar's burning process started at q.
 
     A vertex burns once its count of edges to burnt vertices exceeds its
-    coefficient.  Vertices in ``ignored`` are treated as burnt from the
-    start (used when pruning partially assigned configurations).  An empty
-    result means the configuration is superstable.
+    coefficient.  An empty result means the configuration is superstable.
     """
     n = len(graph.vertices)
     burnt = [False] * n
     burnt[q] = True
     queue = [q]
-    for i in ignored:
-        if not burnt[i]:
-            burnt[i] = True
-            queue.append(i)
     heat = [0] * n  # edge count into the burnt region so far
     adjacency = graph.adjacency
     while queue:
@@ -303,6 +295,11 @@ def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
     Checks |D - E| nonempty for every effective divisor E of degree r; E
     ranges over size-r vertex multisets in lexicographic index order, and
     the scan short-circuits on the first failure.
+
+    The first multiset is E = r*(q) with q the vertex of index 0.  With
+    base the q-reduced form of D, base - r*(q) is still q-reduced, so that
+    trial fails iff base(q) < r; the check ``base[qi] < r`` returns that
+    verdict without reducing the trial.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -310,7 +307,7 @@ def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
         return False
     qi = 0
     base = _reduce_coeffs(graph, list(divisor.coeffs), qi)
-    if base[qi] < 0:
+    if base[qi] < r:
         return False
     if r == 0:
         return True
@@ -365,32 +362,32 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     """All superstable configurations with respect to q.
 
     Yields full coefficient tuples with 0 in the q slot, in lexicographic
-    order of the off-q coordinates (canonical vertex order, q skipped).
-    Coordinates are searched inside the box 0 <= a_v <= degree(v) - 1 with
-    Dhar-based pruning: once a partial assignment already contains a
-    fireable subset, no completion can be superstable.  The number of
-    results equals the number of spanning trees.
+    order of the off-q coordinates (canonical vertex order, q skipped),
+    inside the box 0 <= a_v <= degree(v) - 1.  The number of results
+    equals the number of spanning trees.
+
+    Superstables are closed downward (removing chips never stops a vertex
+    from burning), so a prefix extends to a superstable iff the prefix
+    padded with zeros is one.  The lexicographic successor is therefore
+    found by scanning positions right to left: bump the coordinate by 1
+    and accept the first bump that stays in the box and passes Dhar's
+    burning test; otherwise reset it to 0 and move left.  The walk is a
+    flat loop, so its depth does not grow with the vertex count.
     """
     qi = graph.index[q]
-    n = len(graph.vertices)
-    order = [i for i in range(n) if i != qi]
-    coeffs = [0] * n
-    unassigned = set(order)
-
-    def walk(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(order):
-            yield tuple(coeffs)
+    degrees = graph.degrees
+    order = [i for i in range(len(graph.vertices)) if i != qi]
+    order.reverse()
+    coeffs = [0] * len(graph.vertices)
+    while True:
+        yield tuple(coeffs)
+        for v in order:
+            coeffs[v] += 1
+            if coeffs[v] < degrees[v] and not _dhar_unburnt(graph, coeffs, qi):
+                break
+            coeffs[v] = 0
+        else:
             return
-        v = order[pos]
-        unassigned.discard(v)
-        for value in range(graph.degrees[v]):
-            coeffs[v] = value
-            if not _dhar_unburnt(graph, coeffs, qi, ignored=unassigned):
-                yield from walk(pos + 1)
-        coeffs[v] = 0
-        unassigned.add(v)
-
-    yield from walk(0)
 
 
 def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[ReducedDivisor]:

@@ -63,3 +63,9 @@ class NotHarmonicError(DivGraphError):
 
 class ClassMismatchError(DivGraphError):
     slug = "class-mismatch"
+
+
+class IntegerTooLargeError(DivGraphError):
+    """A report integer exceeds the interpreter's int-to-str digit limit."""
+
+    slug = "integer-too-large"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -82,25 +82,38 @@ class Multigraph:
             out.extend((u, v) for _ in range(m))
         return tuple(out)
 
+    @cached_property
+    def _edge_records(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """Per stored edge record ``(u, v)``, the position of its first
+        parallel copy in :attr:`edge_list` and its multiplicity.  The keys
+        are the pairs of :attr:`edge_list` in their stored orientation, so
+        the index allocates no key objects of its own."""
+        pairs = self.edge_list
+        records = {}
+        pos = 0
+        for _, _, m in self.edges:
+            records[pairs[pos]] = (pos, m)
+            pos += m
+        return records
+
+    def _edge_record(self, u: str, v: str) -> Optional[tuple[int, int]]:
+        records = self._edge_records
+        return records.get((u, v)) or records.get((v, u))
+
     def edge_index(self, u: str, v: str, copy: int = 0) -> int:
         """Position of the ``copy``-th parallel edge between u and v in
         :attr:`edge_list`.  Accepts either endpoint order."""
-        pos = 0
-        for a, b, m in self.edges:
-            if {a, b} == {u, v}:
-                if not 0 <= copy < m:
-                    raise InvalidInputError(
-                        f"edge ({u},{v}) has multiplicity {m}, no copy {copy}"
-                    )
-                return pos + copy
-            pos += m
-        raise UnknownVertexError(f"no edge between {u!r} and {v!r}")
+        record = self._edge_record(u, v)
+        if record is None:
+            raise UnknownVertexError(f"no edge between {u!r} and {v!r}")
+        pos, m = record
+        if not 0 <= copy < m:
+            raise InvalidInputError(f"edge ({u},{v}) has multiplicity {m}, no copy {copy}")
+        return pos + copy
 
     def multiplicity(self, u: str, v: str) -> int:
-        for a, b, m in self.edges:
-            if {a, b} == {u, v}:
-                return m
-        return 0
+        record = self._edge_record(u, v)
+        return 0 if record is None else record[1]
 
     @cached_property
     def _bfs_cache(self) -> dict[int, tuple[int, ...]]:

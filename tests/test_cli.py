@@ -1,6 +1,8 @@
 """CLI surface: reports, exit codes, byte stability."""
 
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +231,46 @@ class TestExitCodesAndStability:
         code2, out2 = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+class TestHugeIntegers:
+    """bound(1600, 1600, 1) = 1600!/2 has 4,466 digits, above the default
+    int-to-str limit (4,300) of the interpreters that have one."""
+
+    BOUND = math.factorial(1600) // 2
+    LEGACY = math.factorial(4801) * 1600**4801
+    CASES = {
+        "bound": (("bound", "--g", "1600", "--d", "1600", "--r", "1"),
+                  {"theorem_bound": BOUND}),
+        "bound-compare": (("bound-compare", "--g", "1600", "--d", "1600", "--r", "1"),
+                          {"theorem_bound": BOUND, "legacy_bound": LEGACY}),
+        "bound-legacy": (("bound-legacy", "--n", "2", "--m", "1601", "--d", "1600", "--r", "1"),
+                         {"legacy_bound": LEGACY}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_exact_digits_or_typed_error(self, capsys, command):
+        argv, expected = self.CASES[command]
+        code, report = run_json(capsys, *argv)
+        try:
+            for value in expected.values():
+                str(value)
+        except ValueError:
+            assert code == 2
+            assert report["error"] == "integer-too-large"
+        else:
+            assert code == 0
+            assert {key: report[key] for key in expected} == expected
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    def test_exact_digits_with_limit_lifted(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, report = run_json(capsys, *self.CASES["bound"][0])
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0
+        assert report["theorem_bound"] == self.BOUND

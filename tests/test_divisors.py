@@ -21,6 +21,7 @@ from divgraph import (
     reduce,
     riemann_roch_residual,
     spanning_tree_count,
+    superstable_configs,
     transport,
     refine,
 )
@@ -260,15 +261,22 @@ class TestEnumerateClasses:
             assert not equivalent_oracle(graph, a.divisor, b.divisor)
 
     def test_matches_subset_oracle(self, theta222, path3):
-        for graph in (theta222, path3, banana(2)):
+        # the oracle walks the box in itertools.product (lexicographic)
+        # order, so the lists pin the yield order as well as the set
+        graphs = (
+            theta222, path3, banana(2), refine(theta222, 1)[0], refine(cycle(5), 1)[0]
+        )
+        for graph in graphs:
             q = graph.vertices[0]
-            mine = {r.divisor.coeffs for r in enumerate_classes(graph, q, 0)}
-            oracle = set()
-            for ss in superstable_by_subsets(graph, 0):
-                coeffs = list(ss)
-                coeffs[0] = -sum(ss)
-                oracle.add(tuple(coeffs))
-            assert mine == oracle
+            oracle = superstable_by_subsets(graph, 0)
+            assert list(superstable_configs(graph, q)) == oracle
+            classes = [r.divisor.coeffs for r in enumerate_classes(graph, q, 0)]
+            assert classes == [(-sum(ss), *ss[1:]) for ss in oracle]
+
+    def test_long_cycle_has_no_recursion_limit(self):
+        first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
+        zero = (0,) * 1100
+        assert first == [zero, zero[:1099] + (1,), zero[:1098] + (1, 0)]
 
 
 class TestRiemannRoch:
