@@ -24,7 +24,7 @@ from .brill_noether import (
     rho,
 )
 from .divisors import rank_at_least
-from .errors import DivGraphError, InvalidInputError
+from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError
 from .graphs import Multigraph, genus
 from .io import resolve_graph
 
@@ -101,6 +101,22 @@ def run_unit(args: tuple[str, Multigraph, int, int, SearchLimits]) -> dict:
     return record
 
 
+def _encode_record(record: dict) -> tuple[str, dict]:
+    """The JSON line of a record, and the record it encodes.
+
+    A record holding an integer past the interpreter's int-to-str digit
+    limit (``sys.get_int_max_str_digits``) cannot be written; it becomes an
+    ``integer-too-large`` error record with the same key.
+    """
+    try:
+        return json.dumps(record, sort_keys=True), record
+    except ValueError as exc:
+        kept = ("key", "graph", "genus", "d", "r", "elapsed_ms", "engine_version")
+        record = {name: record[name] for name in kept}
+        record.update(error=IntegerTooLargeError.slug, message=str(exc))
+        return json.dumps(record, sort_keys=True), record
+
+
 def load_recorded_keys(out_path: Union[str, Path]) -> set[str]:
     path = Path(out_path)
     keys: set[str] = set()
@@ -131,7 +147,6 @@ def batch_run(
     limits = SearchLimits(
         max_k=limits_cfg.get("max_k"),
         max_classes=limits_cfg.get("max_classes"),
-        jobs=1,
     )
     units = expand_units(config, base_dir)
     done = load_recorded_keys(out_path)
@@ -159,7 +174,8 @@ def batch_run(
     def write_all(records) -> None:
         with path.open("a", encoding="utf-8") as sink:
             for record in records:
-                sink.write(json.dumps(record, sort_keys=True) + "\n")
+                line, record = _encode_record(record)
+                sink.write(line + "\n")
                 sink.flush()
                 if "error" in record:
                     summary["errors"] += 1

@@ -155,11 +155,10 @@ def bound_report(g: int, d: int, r: int) -> BoundReport:
 class SearchLimits:
     """Resource caps for :func:`find_gdr`.  ``max_k`` overrides the bound's
     k range; ``max_classes`` caps the total number of divisor classes
-    tested; ``jobs`` > 1 parallelizes class testing within each k."""
+    tested."""
 
     max_k: Optional[int] = None
     max_classes: Optional[int] = None
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -172,76 +171,26 @@ class SearchResult:
     limit_hit: Optional[str] = None
 
 
-def _scan_chunk(args: tuple[Multigraph, int, list[tuple[int, tuple[int, ...]]]]):
-    """Worker: first (index, coeffs) in the chunk whose divisor has rank >= r."""
-    graph, r, chunk = args
-    for idx, coeffs in chunk:
-        if rank_at_least(graph, Divisor(graph, coeffs), r):
-            return idx, coeffs
-    return None
-
-
 def _search_one_level(
-    graph: Multigraph, d: int, r: int, budget: Optional[int], jobs: int
+    graph: Multigraph, d: int, r: int, budget: Optional[int]
 ) -> tuple[Optional[Divisor], int, bool]:
     """Scan the degree-d classes of one refinement level for a rank->=r
     witness.  Returns (witness or None, classes examined, budget hit).
 
-    The first witness in enumeration order wins regardless of ``jobs``;
-    parallel scans report the same witness and count as the sequential path.
+    A class with D(q) < r is examined but not rank-checked: it is q-reduced,
+    so D - r*(q) is q-reduced too and negative at q, hence not effective,
+    and the rank is below r.  :func:`rank_at_least` would reach the same
+    verdict after reducing D again.
     """
     q = graph.vertices[0]
-    stream = enumerate_classes(graph, q, d)
-    if jobs <= 1:
-        examined = 0
-        for red in stream:
-            if budget is not None and examined >= budget:
-                return None, examined, True
-            examined += 1
-            if rank_at_least(graph, red.divisor, r):
-                return red.divisor, examined, False
-        return None, examined, False
-
-    from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk_size = 32
-    indexed = enumerate(stream)
-    streamed = 0
-    truncated = False
-    stream_done = False
-    winner: Optional[tuple[int, tuple[int, ...]]] = None
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        while True:
-            while not stream_done and winner is None and len(pending) < 2 * jobs:
-                chunk: list[tuple[int, tuple[int, ...]]] = []
-                while len(chunk) < chunk_size:
-                    if budget is not None and streamed >= budget:
-                        truncated = next(indexed, None) is not None
-                        stream_done = True
-                        break
-                    item = next(indexed, None)
-                    if item is None:
-                        stream_done = True
-                        break
-                    chunk.append((item[0], item[1].divisor.coeffs))
-                    streamed += 1
-                if chunk:
-                    pending.append(pool.submit(_scan_chunk, (graph, r, chunk)))
-                else:
-                    break
-            if not pending:
-                break
-            hit = pending.popleft().result()
-            if hit is not None and winner is None:
-                winner = hit
-
-    if winner is not None:
-        idx, coeffs = winner
-        return Divisor(graph, coeffs), idx + 1, False
-    return None, streamed, truncated
+    examined = 0
+    for red in enumerate_classes(graph, q, d):
+        if budget is not None and examined >= budget:
+            return None, examined, True
+        examined += 1
+        if red.divisor.coeffs[0] >= r and rank_at_least(graph, red.divisor, r):
+            return red.divisor, examined, False
+    return None, examined, False
 
 
 def find_gdr(
@@ -295,9 +244,7 @@ def find_gdr(
                 exhausted=False,
                 limit_hit="max-classes",
             )
-        witness, used, truncated = _search_one_level(
-            level_graph, d, r, budget, limits.jobs
-        )
+        witness, used, truncated = _search_one_level(level_graph, d, r, budget)
         examined += used
         if witness is not None:
             return SearchResult(
@@ -338,7 +285,8 @@ class GonalityResult:
 def gonality_search(graph: Multigraph, r: int, d_max: int) -> GonalityResult:
     """Smallest degree d <= d_max carrying a rank-r divisor on the graph
     itself (no refinement), with a witness.  Starts at d = r since the rank
-    never exceeds the degree."""
+    never exceeds the degree.  A class with D(q) < r is counted but not
+    rank-checked, as in the level scan of :func:`find_gdr`."""
     if r < 1:
         raise ValueError("r must be >= 1")
     q = graph.vertices[0]
@@ -346,6 +294,6 @@ def gonality_search(graph: Multigraph, r: int, d_max: int) -> GonalityResult:
     for d in range(r, d_max + 1):
         for red in enumerate_classes(graph, q, d):
             examined += 1
-            if rank_at_least(graph, red.divisor, r):
+            if red.divisor.coeffs[0] >= r and rank_at_least(graph, red.divisor, r):
                 return GonalityResult(True, d, red.divisor, examined)
     return GonalityResult(False, None, None, examined)

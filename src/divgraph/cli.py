@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k-max", type=int, default=None, dest="k_max")
     p.add_argument("--max-classes", type=int, default=None, dest="max_classes")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("gonality", "smallest degree with a rank-r divisor", graph=True)
     p.add_argument("--r", type=int, default=1)
@@ -256,7 +255,7 @@ def _cmd_bound_compare(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
     g = genus(graph)
-    limits = SearchLimits(max_k=args.k_max, max_classes=args.max_classes, jobs=args.jobs)
+    limits = SearchLimits(max_k=args.k_max, max_classes=args.max_classes)
     result = find_gdr(graph, args.d, args.r, limits)
     report = {
         "graph": name,

@@ -189,7 +189,9 @@ def _dhar_unburnt(graph: Multigraph, coeffs: Sequence[int], q: int) -> list[int]
     return [i for i in range(n) if not burnt[i]]
 
 
-def _reduce_coeffs(graph: Multigraph, coeffs: list[int], q: int) -> list[int]:
+def _reduce_coeffs(
+    graph: Multigraph, coeffs: list[int], q: int, until_effective: bool = False
+) -> list[int]:
     """Core q-reduction on a raw coefficient list (mutated and returned).
 
     Phase 1 clears negative values away from q by firing distance sublevel
@@ -198,6 +200,11 @@ def _reduce_coeffs(graph: Multigraph, coeffs: list[int], q: int) -> list[int]:
     vertices farther than i untouched.  Phase 2 superstabilizes with Dhar's
     algorithm, firing the maximal unburnt set (with the largest multiplicity
     that keeps its members non-negative) until everything burns.
+
+    Phase 2 never fires q and keeps every other vertex non-negative, so
+    ``coeffs[q]`` only grows there.  With ``until_effective`` the loop stops
+    as soon as ``coeffs[q] >= 0``: the state is then effective, which is all
+    an effectivity test needs, but it need not be q-reduced.
     """
     n = len(graph.vertices)
     if n == 1:
@@ -225,6 +232,8 @@ def _reduce_coeffs(graph: Multigraph, coeffs: list[int], q: int) -> list[int]:
                 coeffs[v] += rounds * gain[v]
 
     while True:
+        if until_effective and coeffs[q] >= 0:
+            return coeffs
         unburnt = _dhar_unburnt(graph, coeffs, q)
         if not unburnt:
             return coeffs
@@ -271,22 +280,32 @@ def is_equivalent(graph: Multigraph, d1: Divisor, d2: Divisor) -> bool:
 def has_effective_rep(graph: Multigraph, divisor: Divisor) -> bool:
     """Whether the complete linear system |D| is nonempty.
 
-    True iff the q-reduced form is non-negative at q; the verdict does not
-    depend on the choice of q.
+    True iff the q-reduced form of D is non-negative at q, whatever the
+    base q.  The test reduces toward a vertex where D is negative and stops
+    as soon as that vertex is non-negative, since after phase 1 it only
+    gains chips; see :func:`_effective_rep_raw`.
     """
     if divisor.degree < 0:
         return False
-    if divisor.is_effective:
-        return True
-    qi = 0
-    coeffs = _reduce_coeffs(graph, list(divisor.coeffs), qi)
-    return coeffs[qi] >= 0
+    return _effective_rep_raw(graph, list(divisor.coeffs))
 
 
-def _effective_rep_raw(graph: Multigraph, coeffs: list[int], qi: int) -> bool:
-    if all(c >= 0 for c in coeffs):
+def _effective_rep_raw(graph: Multigraph, coeffs: list[int]) -> bool:
+    """Whether the raw coefficient list (mutated) is equivalent to an
+    effective divisor.
+
+    D is equivalent to an effective divisor iff its q-reduced form is
+    non-negative at q, for any choice of q (Baker-Norine 2007), so q may
+    be the first vertex j where D is negative.  After phase 1 of the
+    reduction toward j every other vertex is non-negative, and phase 2
+    never fires j, so ``coeffs[j]`` only grows from there on; the first
+    state with ``coeffs[j] >= 0`` is effective and ends the test.  A list
+    whose only negative entry is at j skips phase 1 altogether.
+    """
+    j = next((v for v, c in enumerate(coeffs) if c < 0), None)
+    if j is None:
         return True
-    return _reduce_coeffs(graph, coeffs, qi)[qi] >= 0
+    return _reduce_coeffs(graph, coeffs, j, until_effective=True)[j] >= 0
 
 
 def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
@@ -316,7 +335,7 @@ def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
         trial = list(base)
         for i in combo:
             trial[i] -= 1
-        if not _effective_rep_raw(graph, trial, qi):
+        if not _effective_rep_raw(graph, trial):
             return False
     return True
 

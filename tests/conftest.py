@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: spanning
 trees are counted by enumerating edge subsets, linear equivalence is decided
-by solving the reduced Laplacian system over exact rationals, and
-q-reducedness is tested by scanning all vertex subsets for a fireable set.
+by solving the reduced Laplacian system over exact rationals (effectivity
+by scanning the effective divisors of the same degree for one in the class),
+and q-reducedness is tested by scanning all vertex subsets for a fireable set.
 """
 
 from __future__ import annotations
@@ -99,6 +100,23 @@ def is_principal_oracle(graph: Multigraph, coeffs) -> bool:
                     a[row][c] -= factor * a[col][c]
                 b[row] -= factor * b[col]
     return all((b[i] / a[i][i]).denominator == 1 for i in range(size))
+
+
+def effective_oracle(graph: Multigraph, coeffs) -> bool:
+    """Whether a coefficient vector is linearly equivalent to an effective
+    divisor: some effective E of the same degree has D - E principal, as
+    decided by :func:`is_principal_oracle`.  No chip-firing involved."""
+    degree = sum(coeffs)
+    if degree < 0:
+        return False
+    n = len(graph.vertices)
+    for combo in itertools.combinations_with_replacement(range(n), degree):
+        diff = list(coeffs)
+        for i in combo:
+            diff[i] -= 1
+        if is_principal_oracle(graph, diff):
+            return True
+    return False
 
 
 def equivalent_oracle(graph: Multigraph, d1: Divisor, d2: Divisor) -> bool:

@@ -1,6 +1,7 @@
 """Batch runner: records, resumability, determinism, failure records."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,29 @@ class TestBatchRun:
             return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in recs]
 
         assert strip(read_records(out1)) == strip(read_records(out2))
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    def test_integer_past_digit_limit_becomes_error_record(self, tmp_path):
+        # theorem_bound = 1600!/2 has 4,466 digits
+        config = {"graphs": ["banana(1600)"], "params": {"pairs": [[1600, 1]]}}
+        out = tmp_path / "runs.jsonl"
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            summary = batch_run(config, out)
+            rerun = batch_run(config, out)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (summary["new_units"], summary["errors"], summary["found"]) == (1, 1, 0)
+        assert rerun["new_units"] == 0
+        (record,) = read_records(out)
+        assert record["key"] == unit_key("banana(1600)", 1600, 1, SearchLimits())
+        assert record["error"] == "integer-too-large"
+        assert (record["graph"], record["genus"], record["d"], record["r"]) == (
+            "banana(1600)", 1600, 1600, 1,
+        )
 
     def test_unit_keys_include_limits(self):
         a = unit_key("banana(1)", 2, 1, SearchLimits(max_classes=10))

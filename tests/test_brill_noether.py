@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import divgraph.brill_noether
 from divgraph import (
     RR_SHORTCUT,
     Divisor,
@@ -22,9 +23,10 @@ from divgraph import (
     legacy_bound,
     rank,
     rank_at_least,
+    refine,
     rho,
 )
-from divgraph.families import banana, chain_of_loops, cycle, theta
+from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
 from conftest import path3  # noqa: F401  (fixture)
 
@@ -229,23 +231,57 @@ class TestFindGdr:
         result = find_gdr(theta222, 3, 1, SearchLimits(max_k=0))
         assert result.found and result.k == 0
 
-    def test_parallel_matches_sequential(self, theta222):
-        seq = find_gdr(theta222, 3, 1, SearchLimits(jobs=1))
-        par = find_gdr(theta222, 3, 1, SearchLimits(jobs=2))
-        assert seq.found == par.found
-        assert seq.k == par.k
-        assert seq.witness == par.witness
-        assert seq.classes_examined == par.classes_examined
 
-    def test_parallel_truncation_matches_sequential(self):
-        seq = find_gdr(banana(2), 2, 1, SearchLimits(max_classes=1, jobs=1))
-        par = find_gdr(banana(2), 2, 1, SearchLimits(max_classes=1, jobs=2))
-        assert (seq.found, seq.classes_examined, seq.exhausted, seq.limit_hit) == (
-            par.found,
-            par.classes_examined,
-            par.exhausted,
-            par.limit_hit,
-        )
+class TestRankCheckSkip:
+    """The scans rank-check only classes with D(q) >= r.  Witnesses and
+    class counts are pinned from a scan that rank-checked every class."""
+
+    SEARCHES = [
+        ("theta(2,2,2)^(1)", theta(2, 2, 2), 3, 1, 145, {"v0": 1, "v1": 1, "v2": 1}),
+        ("random(4,6,101)^(1)", random_multigraph(4, 6, 101), 4, 2, 77, {"v0": 2, "v1": 2}),
+    ]
+    GONALITY = [
+        ("theta(2,2,2)^(1)", theta(2, 2, 2), 2, 5, 577, {"v0": 5}),
+        ("random(4,6,101)^(1)", random_multigraph(4, 6, 101), 2, 4, 237, {"v0": 2, "v1": 2}),
+    ]
+
+    @staticmethod
+    def record_rank_checks(monkeypatch) -> list:
+        checked = []
+        original = divgraph.brill_noether.rank_at_least
+
+        def recorder(graph, divisor, r):
+            checked.append(divisor.coeffs)
+            return original(graph, divisor, r)
+
+        monkeypatch.setattr(divgraph.brill_noether, "rank_at_least", recorder)
+        return checked
+
+    @pytest.mark.parametrize("name,base,d,r,examined,witness", SEARCHES)
+    def test_search_skips_classes_below_r_at_q(
+        self, monkeypatch, name, base, d, r, examined, witness
+    ):
+        graph, _ = refine(base, 1)
+        checked = self.record_rank_checks(monkeypatch)
+        result = find_gdr(graph, d, r)
+        assert result.found and result.k == 0
+        assert result.classes_examined == examined >= 50
+        assert result.witness.to_map() == witness
+        assert checked and checked[-1] == result.witness.coeffs
+        assert all(coeffs[0] >= r for coeffs in checked)
+        assert len(checked) < examined
+
+    @pytest.mark.parametrize("name,base,r,d,examined,witness", GONALITY)
+    def test_gonality_skips_classes_below_r_at_q(
+        self, monkeypatch, name, base, r, d, examined, witness
+    ):
+        graph, _ = refine(base, 1)
+        checked = self.record_rank_checks(monkeypatch)
+        result = gonality_search(graph, r, 5)
+        assert (result.found, result.d, result.classes_examined) == (True, d, examined)
+        assert result.witness.to_map() == witness
+        assert all(coeffs[0] >= r for coeffs in checked)
+        assert len(checked) < examined
 
 
 class TestGonality:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from divgraph.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -21,6 +23,24 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def test_runs_on_the_standard_library_alone():
+    # -S skips site-packages and -E ignores PYTHONPATH, so a third-party
+    # import anywhere under divgraph.cli fails here; -B writes no bytecode
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from divgraph.cli import main; "
+        "sys.exit(main(['rho', '--g', '4', '--d', '3', '--r', '1']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-E", "-B", "-c", script, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rho"] == 0
 
 
 class TestNumerology:

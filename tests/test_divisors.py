@@ -29,6 +29,7 @@ from divgraph.families import banana, cycle, theta
 
 from conftest import (
     CORPUS,
+    effective_oracle,
     equivalent_oracle,
     is_principal_oracle,
     is_reduced_by_subsets,
@@ -185,6 +186,34 @@ class TestEffectiveRep:
             }
             assert len(verdicts) == 1
             assert has_effective_rep(graph, d) in verdicts
+
+    @staticmethod
+    def two_negative_divisors(graph, rng, count):
+        """Degrees 0-3, negative at two vertices other than vertex 0, so the
+        reduction clears a second negative from a base other than vertex 0."""
+        n = len(graph.vertices)
+        for i in range(count):
+            coeffs = [0] * n
+            for v in rng.sample(range(1, n), 2):
+                coeffs[v] = -rng.randint(1, 2)
+            spots = [v for v in range(n) if coeffs[v] == 0]
+            for _ in range(i % 4 - sum(coeffs)):
+                coeffs[rng.choice(spots)] += 1
+            yield coeffs
+
+    @pytest.mark.parametrize(
+        "name,graph",
+        [(name, graph) for name, graph in CORPUS if len(graph.vertices) > 2]
+        + [(f"{name}^(1)", refine(graph, 1)[0]) for name, graph in CORPUS],
+    )
+    def test_matches_effective_oracle(self, name, graph):
+        rng = random.Random(23)
+        verdicts = []
+        for coeffs in self.two_negative_divisors(graph, rng, 12):
+            verdict = has_effective_rep(graph, Divisor(graph, tuple(coeffs)))
+            assert verdict == effective_oracle(graph, coeffs), coeffs
+            verdicts.append(verdict)
+        assert set(verdicts) == {False, True}
 
 
 class TestRank:
