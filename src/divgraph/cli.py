@@ -61,6 +61,15 @@ def _graph_arg(ref: str, seed: Optional[int]) -> tuple[str, "Multigraph"]:
     return resolve_graph(ref)
 
 
+def _checked(call, *args):
+    """Call a library function whose ValueError means an argument out of
+    range, reporting that as invalid input."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="divgraph", description=__doc__)
     parser.add_argument("--version", action="version", version=f"divgraph {__version__}")
@@ -210,11 +219,12 @@ def _cmd_rr_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_rho(args) -> tuple[dict, int]:
-    return {"g": args.g, "d": args.d, "r": args.r, "rho": rho(args.g, args.d, args.r)}, 0
+    value = _checked(rho, args.g, args.d, args.r)
+    return {"g": args.g, "d": args.d, "r": args.r, "rho": value}, 0
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    report = bound_report(args.g, args.d, args.r)
+    report = _checked(bound_report, args.g, args.d, args.r)
     return {
         "g": args.g,
         "d": args.d,
@@ -226,15 +236,12 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 
 def _cmd_bound_legacy(args) -> tuple[dict, int]:
-    try:
-        value = legacy_bound(args.n, args.m, args.d, args.r)
-    except ValueError as exc:
-        raise InvalidInputError(str(exc))
+    value = _checked(legacy_bound, args.n, args.m, args.d, args.r)
     return {"n": args.n, "m": args.m, "d": args.d, "r": args.r, "legacy_bound": value}, 0
 
 
 def _cmd_bound_compare(args) -> tuple[dict, int]:
-    report = bound_report(args.g, args.d, args.r)
+    report = _checked(bound_report, args.g, args.d, args.r)
     out = {
         "g": args.g,
         "d": args.d,
@@ -255,6 +262,7 @@ def _cmd_bound_compare(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
     g = genus(graph)
+    p = _checked(rho, g, args.d, args.r)
     limits = SearchLimits(max_k=args.k_max, max_classes=args.max_classes)
     result = find_gdr(graph, args.d, args.r, limits)
     report = {
@@ -262,7 +270,7 @@ def _cmd_search(args) -> tuple[dict, int]:
         "genus": g,
         "d": args.d,
         "r": args.r,
-        "rho": rho(g, args.d, args.r),
+        "rho": p,
         "theorem_bound": batch_mod.serialize_bound(bn_bound(g, args.d, args.r)),
         "found": result.found,
         "k": result.k,
@@ -281,7 +289,7 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def _cmd_gonality(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
-    result = gonality_search(graph, args.r, args.d_max)
+    result = _checked(gonality_search, graph, args.r, args.d_max)
     return {
         "graph": name,
         "r": args.r,

@@ -377,6 +377,77 @@ def transport(iota: RefinementMap, divisor: Divisor) -> Divisor:
     return Divisor.from_map(iota.target, values)
 
 
+def _chain_decomposition(
+    graph: Multigraph, qi: int
+) -> tuple[list[int], list[list[tuple[int, int, int]]], int]:
+    """Split the graph into anchors and chains of degree-2 vertices.
+
+    Anchors are ``qi`` and every vertex of degree other than 2; a chain is
+    a maximal path of degree-2 vertices between two anchors, or from an
+    anchor back to itself.  Returns ``(chain_of, links, chains)``:
+    ``chain_of[v]`` is the chain id of v, from 1 to ``chains``, or 0 at an
+    anchor; ``links[a]`` lists the anchor-graph edges at anchor a as
+    ``(anchor, multiplicity, chain id)``, one per direct anchor-anchor edge
+    record (chain id 0) and one unit edge per chain ending at two different
+    anchors.  The walk is iterative, so long cycles are fine.
+    """
+    n = len(graph.vertices)
+    adjacency = graph.adjacency
+    degrees = graph.degrees
+    anchor = [v == qi or degrees[v] != 2 for v in range(n)]
+    chain_of = [0] * n
+    links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    chains = 0
+    for a in range(n):
+        if not anchor[a]:
+            continue
+        for w, m in adjacency[a]:
+            if anchor[w]:
+                links[a].append((w, m, 0))
+            elif not chain_of[w]:
+                chains += 1
+                prev, v = a, w
+                while not anchor[v]:
+                    chain_of[v] = chains
+                    # two single edges, or one double edge back to prev
+                    nbrs = adjacency[v]
+                    nxt = nbrs[0][0] if nbrs[0][0] != prev else nbrs[-1][0]
+                    prev, v = v, nxt
+                if v != a:
+                    links[a].append((v, 1, chains))
+                    links[v].append((a, 1, chains))
+    return chain_of, links, chains
+
+
+def _anchors_burn(
+    links: Sequence[Sequence[tuple[int, int, int]]],
+    coeffs: Sequence[int],
+    chips: Sequence[int],
+    qi: int,
+    anchors: int,
+) -> bool:
+    """Whether Dhar's burn from qi on the anchor graph of
+    :func:`_chain_decomposition` burns all ``anchors`` anchors.  A chain
+    holding a chip carries no fire; every other link carries its
+    multiplicity."""
+    # an anchor has burnt once its heat exceeds its coefficient
+    heat = [0] * len(coeffs)
+    heat[qi] = coeffs[qi] + 1
+    queue = [qi]
+    left = anchors - 1
+    while queue:
+        v = queue.pop()
+        for w, m, c in links[v]:
+            if heat[w] <= coeffs[w] and not chips[c]:
+                heat[w] += m
+                if heat[w] > coeffs[w]:
+                    left -= 1
+                    if not left:
+                        return True
+                    queue.append(w)
+    return not left
+
+
 def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     """All superstable configurations with respect to q.
 
@@ -389,22 +460,48 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     from burning), so a prefix extends to a superstable iff the prefix
     padded with zeros is one.  The lexicographic successor is therefore
     found by scanning positions right to left: bump the coordinate by 1
-    and accept the first bump that stays in the box and passes Dhar's
-    burning test; otherwise reset it to 0 and move left.  The walk is a
-    flat loop, so its depth does not grow with the vertex count.
+    and accept the first bump that stays in the box and is superstable;
+    otherwise reset it to 0 and move left.  The walk is a flat loop, so
+    its depth does not grow with the vertex count.
+
+    Superstability is tested on the anchors of
+    :func:`_chain_decomposition` rather than on every vertex.  A chain
+    vertex has degree 2, so it holds 0 or 1 chip.  In Dhar's burn a chain
+    with no chip passes fire from either end to the other, like one edge;
+    a chain with one chip passes none, and burns once both its ends have
+    burnt; a chain with two chips never burns.  So a configuration is
+    superstable iff every chain holds at most one chip and the burn on the
+    anchor graph, whose edges are the direct anchor-anchor edges plus the
+    chip-free chains between two different anchors, burns every anchor.
+    The walk keeps a chip count per chain: a bump into a chain that already
+    holds a chip is rejected without a burn.
     """
     qi = graph.index[q]
     degrees = graph.degrees
+    chain_of, links, chains = _chain_decomposition(graph, qi)
+    anchors = chain_of.count(0)
+    chips = [0] * (chains + 1)  # chips[0] is for direct edges: always 0
     order = [i for i in range(len(graph.vertices)) if i != qi]
     order.reverse()
     coeffs = [0] * len(graph.vertices)
     while True:
         yield tuple(coeffs)
         for v in order:
-            coeffs[v] += 1
-            if coeffs[v] < degrees[v] and not _dhar_unburnt(graph, coeffs, qi):
-                break
-            coeffs[v] = 0
+            c = chain_of[v]
+            if not c:
+                coeffs[v] += 1
+                if coeffs[v] < degrees[v] and _anchors_burn(
+                    links, coeffs, chips, qi, anchors
+                ):
+                    break
+                coeffs[v] = 0
+            elif coeffs[v]:
+                coeffs[v] = chips[c] = 0
+            elif not chips[c]:
+                coeffs[v] = chips[c] = 1
+                if _anchors_burn(links, coeffs, chips, qi, anchors):
+                    break
+                coeffs[v] = chips[c] = 0
         else:
             return
 

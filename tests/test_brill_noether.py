@@ -15,6 +15,7 @@ from divgraph import (
     bn_bound,
     bound_chain_check,
     bound_report,
+    build_graph,
     enumerate_classes,
     find_gdr,
     genus,
@@ -282,6 +283,45 @@ class TestRankCheckSkip:
         assert result.witness.to_map() == witness
         assert all(coeffs[0] >= r for coeffs in checked)
         assert len(checked) < examined
+
+
+def refined(base, k, reverse):
+    """G^(k), with its vertex order reversed on request: the base vertex
+    q = vertices[0] is then a degree-2 subdivision vertex."""
+    graph, _ = refine(base, k)
+    if reverse:
+        graph = build_graph(graph.vertices[::-1], graph.edges)
+    return graph
+
+
+class TestRefinedPins:
+    """Witnesses and class counts on refinements, pinned from the
+    enumeration that ran Dhar's burn over every vertex."""
+
+    SEARCHES = [
+        (theta(1, 2, 3), 2, False, 3, 1, 429, {"v0": 1, "v2": 1, "v1:v2:1:2": 1}),
+        (banana(4), 2, False, 5, 2, 343, {"v0": 3, "v1": 2}),
+        (banana(4), 2, True, 5, 2, 2, {"v0:v1:4:2": 4, "v0": 1}),
+        (random_multigraph(4, 6, 202), 1, True, 4, 2, 7, {"v3:v0:0:1": 2, "v1": 2}),
+    ]
+    GONALITY = [
+        (theta(1, 2, 3), 2, False, 3, 2211, {"v0": 1, "v2": 1, "v1:v2:1:2": 1}),
+        (theta(1, 2, 3), 2, True, 3, 1783, {"v0:v2:2:2": 3}),
+        (random_multigraph(4, 6, 202), 2, True, 3, 439, {"v3:v0:0:2": 1, "v1": 2}),
+        (banana(4), 2, True, 2, 703, {"v0:v1:4:2": 1, "v0:v1:4:1": 1}),
+    ]
+
+    @pytest.mark.parametrize("base,k,reverse,d,r,examined,witness", SEARCHES)
+    def test_find_gdr(self, base, k, reverse, d, r, examined, witness):
+        result = find_gdr(refined(base, k, reverse), d, r)
+        assert (result.found, result.k, result.classes_examined) == (True, 0, examined)
+        assert result.witness.to_map() == witness
+
+    @pytest.mark.parametrize("base,k,reverse,d,examined,witness", GONALITY)
+    def test_gonality_search(self, base, k, reverse, d, examined, witness):
+        result = gonality_search(refined(base, k, reverse), 1, 4)
+        assert (result.found, result.d, result.classes_examined) == (True, d, examined)
+        assert result.witness.to_map() == witness
 
 
 class TestGonality:

@@ -228,6 +228,23 @@ class TestExitCodesAndStability:
         assert code == 2
         assert "error" in report
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rho", "--g", "-1", "--d", "2", "--r", "1"),
+            ("bound", "--g", "2", "--d", "-1", "--r", "0"),
+            ("bound-compare", "--g", "2", "--d", "2", "--r", "-1"),
+            ("search", "--graph", "banana(2)", "--d", "-1", "--r", "0"),
+            ("search", "--graph", "banana(2)", "--d", "2", "--r", "-1"),
+            ("gonality", "--graph", "banana(2)", "--r", "0", "--d-max", "3"),
+            ("refine", "--graph", "banana(2)", "--k", "-1"),
+        ],
+    )
+    def test_out_of_range_argument_is_invalid_input(self, capsys, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "invalid-input"
+
     def test_loop_edge_reason(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text(

@@ -8,6 +8,7 @@ import pytest
 from divgraph import (
     Divisor,
     EmptyOrFullSetError,
+    build_graph,
     canonical,
     enumerate_classes,
     fire_set,
@@ -35,6 +36,13 @@ from conftest import (
     is_reduced_by_subsets,
     superstable_by_subsets,
 )
+
+
+def shuffled(graph, seed):
+    """The same graph with its vertex order permuted."""
+    vertices = list(graph.vertices)
+    random.Random(seed).shuffle(vertices)
+    return build_graph(vertices, graph.edges)
 
 
 class TestFireSet:
@@ -301,6 +309,28 @@ class TestEnumerateClasses:
             assert list(superstable_configs(graph, q)) == oracle
             classes = [r.divisor.coeffs for r in enumerate_classes(graph, q, 0)]
             assert classes == [(-sum(ss), *ss[1:]) for ss in oracle]
+
+    # anchors are q and the vertices of degree != 2; the walk tests
+    # superstability on them and on chip counts of the degree-2 chains
+    CHAIN_GRAPHS = [
+        # a triangle with a cycle hanging off a: the chain x-y closes at a
+        ("hanging cycle", build_graph(
+            "abcxy", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "x"), ("x", "y"), ("y", "a")]
+        )),
+        # d has degree 2 through a double edge to a
+        ("double edge", build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d", 2)])),
+        # q is the only anchor
+        ("cycle(5)", cycle(5)),
+        ("path", build_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])),
+        # chain vertices interleaved with the anchors in the vertex order
+        ("banana(2)^(2) shuffled", shuffled(refine(banana(2), 2)[0], 7)),
+        ("theta(1,1,2)^(1) shuffled", shuffled(refine(theta(1, 1, 2), 1)[0], 7)),
+    ]
+
+    @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
+    def test_matches_subset_oracle_at_every_base(self, name, graph):
+        for qi, q in enumerate(graph.vertices):
+            assert list(superstable_configs(graph, q)) == superstable_by_subsets(graph, qi)
 
     def test_long_cycle_has_no_recursion_limit(self):
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
