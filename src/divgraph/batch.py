@@ -16,21 +16,11 @@ from pathlib import Path
 from typing import Union
 
 from . import __version__
-from .brill_noether import (
-    RR_SHORTCUT,
-    SearchLimits,
-    bn_bound,
-    find_gdr,
-    rho,
-)
+from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
 from .divisors import rank_at_least
-from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError
+from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int
 from .graphs import Multigraph, genus
 from .io import resolve_graph
-
-
-def serialize_bound(bound) -> Union[int, str]:
-    return "rr-shortcut" if bound is RR_SHORTCUT else bound
 
 
 def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
@@ -40,20 +30,38 @@ def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
     )
 
 
+def _config_object(config: dict, field: str) -> dict:
+    value = config.get(field, {})
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"batch config {field!r} must be an object")
+    return value
+
+
 def expand_units(config: dict, base_dir=None) -> list[tuple[str, Multigraph, int, int]]:
     """Resolve the config into concrete (ref, graph, d, r) units, keeping
-    only instances with rho >= 0 and preserving config order."""
-    if "graphs" not in config:
-        raise InvalidInputError("batch config needs a 'graphs' list")
-    params = config.get("params", {})
+    only instances with rho >= 0 and preserving config order.  A malformed
+    config, such as a count that is not a non-negative JSON integer, raises
+    :class:`InvalidInputError`."""
+    graphs = config.get("graphs") if isinstance(config, dict) else None
+    if not isinstance(graphs, (list, tuple)):
+        raise InvalidInputError("batch config must be an object with a 'graphs' list")
+    params = _config_object(config, "params")
     if "pairs" in params:
-        pairs = [(int(d), int(r)) for d, r in params["pairs"]]
+        pairs = params["pairs"]
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+        ):
+            raise InvalidInputError("batch config 'pairs' must be a list of [d, r] pairs")
+        pairs = [
+            (check_int(d, "batch config d", 0), check_int(r, "batch config r", 0))
+            for d, r in pairs
+        ]
     else:
-        d_max = int(params.get("d_max", 4))
-        r_max = int(params.get("r_max", 2))
+        d_max = check_int(params.get("d_max", 4), "batch config d_max", 0)
+        r_max = check_int(params.get("r_max", 2), "batch config r_max", 0)
         pairs = [(d, r) for r in range(r_max + 1) for d in range(d_max + 1)]
     units = []
-    for ref in config["graphs"]:
+    for ref in graphs:
         _, graph = resolve_graph(str(ref), base_dir)
         g = genus(graph)
         for d, r in pairs:
@@ -77,7 +85,7 @@ def run_unit(args: tuple[str, Multigraph, int, int, SearchLimits]) -> dict:
     start = time.perf_counter()
     try:
         record["rho"] = rho(g, d, r)
-        record["theorem_bound"] = serialize_bound(bn_bound(g, d, r))
+        record["theorem_bound"] = bn_bound(g, d, r)
         result = find_gdr(graph, d, r, limits)
         witness_map = result.witness.to_map() if result.witness is not None else None
         verified = (
@@ -143,12 +151,12 @@ def batch_run(
     Appends records to ``out_path`` in config order and returns a summary.
     ``jobs`` > 1 runs units in a process pool; the file order is unchanged.
     """
-    limits_cfg = config.get("limits", {})
+    units = expand_units(config, base_dir)
+    limits_cfg = _config_object(config, "limits")
     limits = SearchLimits(
         max_k=limits_cfg.get("max_k"),
         max_classes=limits_cfg.get("max_classes"),
     )
-    units = expand_units(config, base_dir)
     done = load_recorded_keys(out_path)
     todo = [
         (ref, graph, d, r)

@@ -25,29 +25,17 @@ from .errors import (
     NegativeRhoError,
     NonIntegralBoundError,
     PreconditionViolatedError,
+    check_int,
 )
 from .graphs import Multigraph, genus, refine
 
 
-class _RRShortcut:
-    """Marker returned by :func:`bn_bound` when g - d + r < 0: Riemann-Roch
-    already forces rank >= d - g >= r on the unrefined graph, so k = 0
-    suffices and the factorial formula does not apply."""
+# Returned by :func:`bn_bound` when g - d + r < 0: Riemann-Roch already
+# forces rank >= d - g >= r on the unrefined graph, so k = 0 suffices and
+# the factorial formula does not apply.
+RR_SHORTCUT = "rr-shortcut"
 
-    _instance: Optional["_RRShortcut"] = None
-
-    def __new__(cls) -> "_RRShortcut":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "RR_SHORTCUT"
-
-
-RR_SHORTCUT = _RRShortcut()
-
-Bound = Union[int, _RRShortcut]
+Bound = Union[int, str]
 
 
 def rho(g: int, d: int, r: int) -> int:
@@ -141,7 +129,7 @@ def bound_report(g: int, d: int, r: int) -> BoundReport:
     if p < 0:
         raise NegativeRhoError(f"rho({g},{d},{r}) = {p} < 0")
     bound = bn_bound(g, d, r)
-    k_hi = 0 if isinstance(bound, _RRShortcut) else bound - 1
+    k_hi = 0 if bound == RR_SHORTCUT else bound - 1
     return BoundReport(
         params=BNParams(g, d, r),
         rho=p,
@@ -155,10 +143,17 @@ def bound_report(g: int, d: int, r: int) -> BoundReport:
 class SearchLimits:
     """Resource caps for :func:`find_gdr`.  ``max_k`` overrides the bound's
     k range; ``max_classes`` caps the total number of divisor classes
-    tested."""
+    tested.  Each is None or a non-negative integer; anything else raises
+    :class:`InvalidInputError`."""
 
     max_k: Optional[int] = None
     max_classes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_k", "max_classes"):
+            value = getattr(self, name)
+            if value is not None:
+                check_int(value, name, 0)
 
 
 @dataclass(frozen=True)
@@ -235,15 +230,6 @@ def find_gdr(
     for k in range(k_hi + 1):
         level_graph, _ = refine(graph, k)
         budget = None if limits.max_classes is None else limits.max_classes - examined
-        if budget is not None and budget <= 0:
-            return SearchResult(
-                found=False,
-                k=None,
-                witness=None,
-                classes_examined=examined,
-                exhausted=False,
-                limit_hit="max-classes",
-            )
         witness, used, truncated = _search_one_level(level_graph, d, r, budget)
         examined += used
         if witness is not None:
@@ -255,21 +241,14 @@ def find_gdr(
                 exhausted=False,
             )
         if truncated:
-            return SearchResult(
-                found=False,
-                k=None,
-                witness=None,
-                classes_examined=examined,
-                exhausted=False,
-                limit_hit="max-classes",
-            )
-    exhausted = limit_hit is None
+            limit_hit = "max-classes"
+            break
     return SearchResult(
         found=False,
         k=None,
         witness=None,
         classes_examined=examined,
-        exhausted=exhausted,
+        exhausted=limit_hit is None,
         limit_hit=limit_hit,
     )
 
@@ -285,15 +264,16 @@ class GonalityResult:
 def gonality_search(graph: Multigraph, r: int, d_max: int) -> GonalityResult:
     """Smallest degree d <= d_max carrying a rank-r divisor on the graph
     itself (no refinement), with a witness.  Starts at d = r since the rank
-    never exceeds the degree.  A class with D(q) < r is counted but not
-    rank-checked, as in the level scan of :func:`find_gdr`."""
+    never exceeds the degree.  Each degree is one level scan of
+    :func:`find_gdr` on the graph itself."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    q = graph.vertices[0]
+    if d_max < 0:
+        raise ValueError(f"d_max must be >= 0, got {d_max}")
     examined = 0
     for d in range(r, d_max + 1):
-        for red in enumerate_classes(graph, q, d):
-            examined += 1
-            if red.divisor.coeffs[0] >= r and rank_at_least(graph, red.divisor, r):
-                return GonalityResult(True, d, red.divisor, examined)
+        witness, used, _ = _search_one_level(graph, d, r, None)
+        examined += used
+        if witness is not None:
+            return GonalityResult(True, d, witness, examined)
     return GonalityResult(False, None, None, examined)

@@ -230,7 +230,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
         "d": args.d,
         "r": args.r,
         "rho": report.rho,
-        "theorem_bound": batch_mod.serialize_bound(report.theorem_bound),
+        "theorem_bound": report.theorem_bound,
         "k_range": list(report.k_range),
     }, 0
 
@@ -247,7 +247,7 @@ def _cmd_bound_compare(args) -> tuple[dict, int]:
         "d": args.d,
         "r": args.r,
         "rho": report.rho,
-        "theorem_bound": batch_mod.serialize_bound(report.theorem_bound),
+        "theorem_bound": report.theorem_bound,
         "legacy_bound": report.legacy_bound,
         "k_range": list(report.k_range),
     }
@@ -271,7 +271,7 @@ def _cmd_search(args) -> tuple[dict, int]:
         "d": args.d,
         "r": args.r,
         "rho": p,
-        "theorem_bound": batch_mod.serialize_bound(bn_bound(g, args.d, args.r)),
+        "theorem_bound": bn_bound(g, args.d, args.r),
         "found": result.found,
         "k": result.k,
         "witness": divisor_to_doc(result.witness) if result.witness else None,

@@ -166,11 +166,11 @@ def principal_divisor(graph: Multigraph, potential: Mapping[str, int]) -> Diviso
     return Divisor(graph, tuple(coeffs))
 
 
-def _dhar_unburnt(graph: Multigraph, coeffs: Sequence[int], q: int) -> list[int]:
-    """Indices left unburnt by Dhar's burning process started at q.
+def _dhar_burnt(graph: Multigraph, coeffs: Sequence[int], q: int) -> list[bool]:
+    """Per vertex index, whether Dhar's burning process started at q burns it.
 
     A vertex burns once its count of edges to burnt vertices exceeds its
-    coefficient.  An empty result means the configuration is superstable.
+    coefficient.  The configuration is superstable iff every vertex burns.
     """
     n = len(graph.vertices)
     burnt = [False] * n
@@ -186,7 +186,7 @@ def _dhar_unburnt(graph: Multigraph, coeffs: Sequence[int], q: int) -> list[int]
                 if heat[w] > coeffs[w]:
                     burnt[w] = True
                     queue.append(w)
-    return [i for i in range(n) if not burnt[i]]
+    return burnt
 
 
 def _reduce_coeffs(
@@ -195,11 +195,13 @@ def _reduce_coeffs(
     """Core q-reduction on a raw coefficient list (mutated and returned).
 
     Phase 1 clears negative values away from q by firing distance sublevel
-    sets, outermost layer first: firing {v : dist(v) < i} raises every
-    distance-i vertex by its edge count into the layer below and leaves
-    vertices farther than i untouched.  Phase 2 superstabilizes with Dhar's
-    algorithm, firing the maximal unburnt set (with the largest multiplicity
-    that keeps its members non-negative) until everything burns.
+    sets, outermost layer first: firing {v : dist(v) < i} moves chips only
+    along the edges between layers i - 1 and i (in BFS order every edge
+    leaving the set joins those two layers), so it raises every distance-i
+    vertex by its edge count into layer i - 1 and leaves vertices farther
+    than i untouched.  Phase 2 superstabilizes with Dhar's algorithm, firing
+    the maximal unburnt set (with the largest multiplicity that keeps its
+    members non-negative) until everything burns.
 
     Phase 2 never fires q and keeps every other vertex non-negative, so
     ``coeffs[q]`` only grows there.  With ``until_effective`` the loop stops
@@ -215,58 +217,58 @@ def _reduce_coeffs(
     if any(coeffs[v] < 0 for v in range(n) if v != q):
         for layer in range(max(dist), 0, -1):
             members = [v for v in range(n) if dist[v] == layer]
-            gain = {
-                v: sum(m for w, m in adjacency[v] if dist[w] < layer) for v in members
-            }
             rounds = 0
             for v in members:
                 if coeffs[v] < 0:
-                    rounds = max(rounds, -(coeffs[v] // gain[v]))
-            if rounds == 0:
-                continue
-            for v in range(n):
-                if dist[v] < layer:
-                    cross = sum(m for w, m in adjacency[v] if dist[w] >= layer)
-                    coeffs[v] -= rounds * cross
-            for v in members:
-                coeffs[v] += rounds * gain[v]
+                    gain = sum(m for w, m in adjacency[v] if dist[w] < layer)
+                    rounds = max(rounds, -(coeffs[v] // gain))
+            if rounds:
+                for v in members:
+                    for w, m in adjacency[v]:
+                        if dist[w] < layer:
+                            coeffs[v] += rounds * m
+                            coeffs[w] -= rounds * m
 
     while True:
         if until_effective and coeffs[q] >= 0:
             return coeffs
-        unburnt = _dhar_unburnt(graph, coeffs, q)
+        burnt = _dhar_burnt(graph, coeffs, q)
+        unburnt = [v for v in range(n) if not burnt[v]]
         if not unburnt:
             return coeffs
-        in_set = [False] * n
-        for v in unburnt:
-            in_set[v] = True
-        outdeg = {v: sum(m for w, m in adjacency[v] if not in_set[w]) for v in unburnt}
+        outdeg = {v: sum(m for w, m in adjacency[v] if burnt[w]) for v in unburnt}
         # interior vertices of the unburnt set lose nothing when it fires;
         # cut vertices satisfy coeff >= outdeg at a Dhar fixed point
         rounds = min(coeffs[v] // outdeg[v] for v in unburnt if outdeg[v] > 0)
         for v in unburnt:
             coeffs[v] -= rounds * outdeg[v]
             for w, m in adjacency[v]:
-                if not in_set[w]:
+                if burnt[w]:
                     coeffs[w] += rounds * m
 
 
-def reduce(graph: Multigraph, divisor: Divisor, q: str) -> ReducedDivisor:
-    """The unique q-reduced divisor linearly equivalent to ``divisor``."""
+def _base_index(graph: Multigraph, divisor: Divisor, q: str) -> int:
+    """The index of base vertex q, after checking that the divisor is
+    indexed by the graph and q is one of its vertices."""
     if divisor.graph != graph:
         raise IndexMismatchError("divisor is not indexed by this graph")
     if q not in graph.index:
         raise UnknownVertexError(f"unknown base vertex {q!r}")
-    coeffs = _reduce_coeffs(graph, list(divisor.coeffs), graph.index[q])
+    return graph.index[q]
+
+
+def reduce(graph: Multigraph, divisor: Divisor, q: str) -> ReducedDivisor:
+    """The unique q-reduced divisor linearly equivalent to ``divisor``."""
+    coeffs = _reduce_coeffs(graph, list(divisor.coeffs), _base_index(graph, divisor, q))
     return ReducedDivisor(Divisor(graph, tuple(coeffs)), q)
 
 
 def is_reduced(graph: Multigraph, divisor: Divisor, q: str) -> bool:
     """Direct test of the q-reduced property (no reduction performed)."""
-    qi = graph.index[q]
+    qi = _base_index(graph, divisor, q)
     if any(c < 0 for i, c in enumerate(divisor.coeffs) if i != qi):
         return False
-    return not _dhar_unburnt(graph, divisor.coeffs, qi)
+    return all(_dhar_burnt(graph, divisor.coeffs, qi))
 
 
 def is_equivalent(graph: Multigraph, d1: Divisor, d2: Divisor) -> bool:

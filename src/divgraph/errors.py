@@ -1,10 +1,13 @@
 """Exception hierarchy.
 
 Every error carries a stable ``slug`` used by the CLI for machine-readable
-reason fields.
+reason fields.  :func:`check_int` is the one integer check for values read
+from input files and configs.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class DivGraphError(Exception):
@@ -69,3 +72,17 @@ class IntegerTooLargeError(DivGraphError):
     """A report integer exceeds the interpreter's int-to-str digit limit."""
 
     slug = "integer-too-large"
+
+
+def check_int(value, what: str, minimum: Optional[int] = None) -> int:
+    """Return ``value`` if it is an integer, and at least ``minimum`` when
+    one is given; otherwise raise :class:`InvalidInputError` naming
+    ``what``.  A bool is not an integer here, so JSON ``true`` is not 1."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise InvalidInputError(f"{what} must be an integer{at_least}, got {value!r}")
+    return value

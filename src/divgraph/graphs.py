@@ -22,6 +22,7 @@ from .errors import (
     InvalidInputError,
     LoopEdgeError,
     UnknownVertexError,
+    check_int,
 )
 
 EdgeSpec = Sequence  # (u, v) or (u, v, multiplicity)
@@ -171,8 +172,7 @@ def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigrap
             raise UnknownVertexError(f"edge endpoint {v!r} is not a declared vertex")
         if u == v:
             raise LoopEdgeError(f"loop edge at {u!r}")
-        if not isinstance(m, int) or m < 1:
-            raise InvalidInputError(f"edge ({u},{v}) multiplicity {m!r} must be >= 1")
+        check_int(m, f"edge ({u},{v}) multiplicity", 1)
         key = frozenset((u, v))
         if key in merged:
             a, b, prev = merged[key]

@@ -28,6 +28,7 @@ from .errors import (
     LoopEdgeError,
     NotHarmonicError,
     UnknownVertexError,
+    check_int,
 )
 from .graphs import Multigraph, build_graph, genus
 
@@ -113,7 +114,7 @@ def build_morphism(
             u, v, copy = ref
         else:
             raise InvalidInputError(f"edge reference {ref!r} is not (u, v[, copy])")
-        return graph.edge_index(str(u), str(v), int(copy))
+        return graph.edge_index(str(u), str(v), check_int(copy, "edge copy index"))
 
     emap: dict[int, int] = {}
     for src_ref, tgt_ref in edge_map:
@@ -137,10 +138,7 @@ def build_morphism(
 
     degrees = []
     for v in source.vertices:
-        m = int(local_degree.get(v, 1))
-        if m < 1:
-            raise InvalidInputError(f"local degree at {v!r} must be >= 1")
-        degrees.append(m)
+        degrees.append(check_int(local_degree.get(v, 1), f"local degree at {v!r}", 1))
     unknown_deg = set(local_degree) - set(source.vertices)
     if unknown_deg:
         raise UnknownVertexError(
@@ -154,9 +152,9 @@ def build_morphism(
             raise UnknownVertexError(
                 f"marked_legs names unknown vertices: {sorted(unknown_legs)}"
             )
-        if any(int(n) < 0 for n in marked_legs.values()):
-            raise InvalidInputError("marked leg counts must be >= 0")
-        legs = tuple(int(marked_legs.get(v, 0)) for v in source.vertices)
+        for v, n in marked_legs.items():
+            check_int(n, f"marked leg count at {v!r}", 0)
+        legs = tuple(marked_legs.get(v, 0) for v in source.vertices)
 
     return GraphMorphism(
         source=source,

@@ -21,7 +21,7 @@ from typing import Union
 
 from . import families
 from .divisors import Divisor
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_int
 from .graphs import Multigraph, build_graph
 from .harmonic import GraphMorphism, build_morphism
 
@@ -82,9 +82,7 @@ def load_divisor(path: Union[str, Path], graph: Multigraph) -> Divisor:
         raise InvalidInputError("divisor document must be a vertex->coefficient object")
     values = {}
     for key, val in doc.items():
-        if not isinstance(val, int):
-            raise InvalidInputError(f"divisor coefficient for {key!r} must be an integer")
-        values[str(key)] = val
+        values[str(key)] = check_int(val, f"divisor coefficient for {key!r}")
     return Divisor.from_map(graph, values)
 
 

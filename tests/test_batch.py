@@ -166,3 +166,53 @@ class TestBatchCli:
         code = main(["batch", "--config", str(config), "--out", str(out)])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["new_units"] == 0
+
+    def test_rr_shortcut_bound_recorded_by_workers(self, capsys, tmp_path):
+        # banana(1) with d = 3, r = 1 has g - d + r < 0; the second unit
+        # keeps two units in the pool
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"graphs": ["banana(1)"], "params": {"pairs": [[3, 1], [2, 1]]}}),
+            encoding="utf-8",
+        )
+        out = tmp_path / "runs.jsonl"
+        code = main(["batch", "--config", str(config), "--out", str(out), "--jobs", "2"])
+        assert code == 0
+        first, second = read_records(out)
+        assert first["theorem_bound"] == "rr-shortcut"
+        assert second["theorem_bound"] == 1
+
+
+class TestMalformedConfig:
+    """A malformed config is reported as invalid input before any unit runs."""
+
+    CASES = {
+        "top-level-array": ["banana(2)"],
+        "graphs-not-a-list": {"graphs": "banana(2)"},
+        "pair-not-an-integer": {"graphs": ["banana(2)"], "params": {"pairs": [["x", 1]]}},
+        "pair-not-a-pair": {"graphs": ["banana(2)"], "params": {"pairs": [[2]]}},
+        "negative-pair": {"graphs": ["banana(2)"], "params": {"pairs": [[-1, 0]]}},
+        "boolean-d-max": {"graphs": ["banana(2)"], "params": {"d_max": True}},
+        "params-not-an-object": {"graphs": ["banana(2)"], "params": [2, 1]},
+        "limit-as-string": {"graphs": ["banana(2)"], "limits": {"max_classes": "5"}},
+        "negative-max-classes": {"graphs": ["banana(2)"], "limits": {"max_classes": -1}},
+        "negative-max-k": {"graphs": ["banana(2)"], "limits": {"max_k": -1}},
+        "limits-not-an-object": {"graphs": ["banana(2)"], "limits": 5},
+    }
+
+    @pytest.mark.parametrize("config", CASES.values(), ids=CASES.keys())
+    def test_invalid_input_exit_two(self, capsys, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        code = main(["batch", "--config", str(path), "--out", str(out)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["error"] == "invalid-input"
+        assert not out.exists()
+
+    def test_graphs_string_is_not_iterated(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CASES["graphs-not-a-list"]), encoding="utf-8")
+        main(["batch", "--config", str(path), "--out", str(tmp_path / "runs.jsonl")])
+        assert "'graphs' list" in json.loads(capsys.readouterr().out)["message"]

@@ -9,9 +9,11 @@ import divgraph.brill_noether
 from divgraph import (
     RR_SHORTCUT,
     Divisor,
+    InvalidInputError,
     NegativeRhoError,
     PreconditionViolatedError,
     SearchLimits,
+    SearchResult,
     bn_bound,
     bound_chain_check,
     bound_report,
@@ -231,6 +233,42 @@ class TestFindGdr:
     def test_max_k_override(self, theta222):
         result = find_gdr(theta222, 3, 1, SearchLimits(max_k=0))
         assert result.found and result.k == 0
+
+    @pytest.mark.parametrize(
+        "limits,examined,exhausted,limit_hit",
+        [
+            (SearchLimits(), 204, True, None),
+            # level 0 holds 12 classes, level 1 holds 192
+            (SearchLimits(max_classes=11), 11, False, "max-classes"),
+            (SearchLimits(max_classes=12), 12, False, "max-classes"),
+            (SearchLimits(max_classes=13), 13, False, "max-classes"),
+            (SearchLimits(max_k=0), 12, False, "max-k"),
+        ],
+    )
+    def test_exits_without_a_witness(
+        self, monkeypatch, theta222, limits, examined, exhausted, limit_hit
+    ):
+        # with every rank check failing, the search walks levels 0 and 1
+        # (bn_bound = 2) unless a limit stops it first
+        monkeypatch.setattr(
+            divgraph.brill_noether, "rank_at_least", lambda graph, divisor, r: False
+        )
+        result = find_gdr(theta222, 3, 1, limits)
+        assert result == SearchResult(
+            found=False,
+            k=None,
+            witness=None,
+            classes_examined=examined,
+            exhausted=exhausted,
+            limit_hit=limit_hit,
+        )
+
+    @pytest.mark.parametrize(
+        "limits", [{"max_k": -1}, {"max_classes": -1}, {"max_k": True}, {"max_classes": "5"}]
+    )
+    def test_limits_must_be_non_negative_integers(self, limits):
+        with pytest.raises(InvalidInputError):
+            SearchLimits(**limits)
 
 
 class TestRankCheckSkip:

@@ -238,10 +238,48 @@ class TestExitCodesAndStability:
             ("search", "--graph", "banana(2)", "--d", "2", "--r", "-1"),
             ("gonality", "--graph", "banana(2)", "--r", "0", "--d-max", "3"),
             ("refine", "--graph", "banana(2)", "--k", "-1"),
+            ("search", "--graph", "banana(2)", "--d", "2", "--r", "1", "--k-max", "-1"),
+            ("search", "--graph", "banana(2)", "--d", "2", "--r", "1", "--max-classes", "-1"),
+            ("gonality", "--graph", "banana(2)", "--d-max", "-3"),
         ],
     )
     def test_out_of_range_argument_is_invalid_input(self, capsys, argv):
         code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "graph_doc,divisor_doc",
+        [
+            ({"name": "p", "vertices": ["a", "b"], "edges": [["a", "b", True]]}, {}),
+            ({"name": "p", "vertices": ["a", "b"], "edges": [["a", "b", 2]]}, {"a": True}),
+        ],
+    )
+    def test_json_boolean_is_not_an_integer(self, capsys, tmp_path, graph_doc, divisor_doc):
+        graph, divisor = tmp_path / "p.graph", tmp_path / "d.div"
+        graph.write_text(json.dumps(graph_doc), encoding="utf-8")
+        divisor.write_text(json.dumps(divisor_doc), encoding="utf-8")
+        code, report = run_json(
+            capsys, "refine", "--graph", str(graph), "--k", "1", "--divisor", str(divisor)
+        )
+        assert code == 2
+        assert report["error"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"local_degree": {"b": True}},
+            {"local_degree": {"b": "abc"}},
+            {"local_degree": {"b": 2.7}},
+            {"marked_legs": {"b": "x"}},
+            {"edge_map": [[["a", "b", "0"], ["x", "y"]], [["b", "c"], ["x", "y"]]]},
+        ],
+    )
+    def test_morphism_integer_fields_are_checked(self, capsys, tmp_path, patch):
+        doc = json.loads((FIXTURES / "path_onto_edge.morphism").read_text(encoding="utf-8"))
+        path = tmp_path / "f.morphism"
+        path.write_text(json.dumps({**doc, **patch}), encoding="utf-8")
+        code, report = run_json(capsys, "harmonic-check", "--morphism", str(path))
         assert code == 2
         assert report["error"] == "invalid-input"
 

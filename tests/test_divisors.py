@@ -8,6 +8,8 @@ import pytest
 from divgraph import (
     Divisor,
     EmptyOrFullSetError,
+    IndexMismatchError,
+    UnknownVertexError,
     build_graph,
     canonical,
     enumerate_classes,
@@ -130,6 +132,14 @@ class TestReduce:
                 assert red.divisor.degree == d.degree
                 assert is_reduced(graph, red.divisor, q)
                 assert equivalent_oracle(graph, red.divisor, d)
+
+    def test_is_reduced_validates_like_reduce(self, theta222, path3):
+        with pytest.raises(UnknownVertexError):
+            is_reduced(theta222, Divisor.zero(theta222), "zz")
+        # a reduced divisor of path3, asked about theta(2,2,2)
+        other = Divisor(path3, (0, 0, 0))
+        with pytest.raises(IndexMismatchError):
+            is_reduced(theta222, other, "v0")
 
     @pytest.mark.parametrize("name,graph", CORPUS[:8])
     def test_class_invariance(self, name, graph):
