@@ -18,7 +18,7 @@ from typing import Union
 from . import __version__
 from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
 from .divisors import rank_at_least
-from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int
+from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, genus
 from .io import resolve_graph
 
@@ -30,13 +30,6 @@ def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
     )
 
 
-def _config_object(config: dict, field: str) -> dict:
-    value = config.get(field, {})
-    if not isinstance(value, dict):
-        raise InvalidInputError(f"batch config {field!r} must be an object")
-    return value
-
-
 def expand_units(config: dict, base_dir=None) -> list[tuple[str, Multigraph, int, int]]:
     """Resolve the config into concrete (ref, graph, d, r) units, keeping
     only instances with rho >= 0 and preserving config order.  A malformed
@@ -45,7 +38,7 @@ def expand_units(config: dict, base_dir=None) -> list[tuple[str, Multigraph, int
     graphs = config.get("graphs") if isinstance(config, dict) else None
     if not isinstance(graphs, (list, tuple)):
         raise InvalidInputError("batch config must be an object with a 'graphs' list")
-    params = _config_object(config, "params")
+    params = check_type(config.get("params", {}), "object", "batch config 'params'")
     if "pairs" in params:
         pairs = params["pairs"]
         if not isinstance(pairs, (list, tuple)) or not all(
@@ -150,9 +143,11 @@ def batch_run(
 
     Appends records to ``out_path`` in config order and returns a summary.
     ``jobs`` > 1 runs units in a process pool; the file order is unchanged.
+    ``jobs`` below 1 raises :class:`InvalidInputError` before any unit runs.
     """
+    check_int(jobs, "jobs", 1)
     units = expand_units(config, base_dir)
-    limits_cfg = _config_object(config, "limits")
+    limits_cfg = check_type(config.get("limits", {}), "object", "batch config 'limits'")
     limits = SearchLimits(
         max_k=limits_cfg.get("max_k"),
         max_classes=limits_cfg.get("max_classes"),

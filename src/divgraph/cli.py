@@ -9,6 +9,7 @@ search finished without a witness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -32,6 +33,7 @@ from .errors import (
     IntegerTooLargeError,
     InvalidInputError,
     PreconditionViolatedError,
+    check_type,
 )
 from .graphs import genus, laplacian, refine, spanning_tree_count
 from .harmonic import check_harmonic, contract, pullback, pushforward_contraction, riemann_hurwitz_check
@@ -39,6 +41,7 @@ from .io import (
     divisor_to_doc,
     graph_to_doc,
     load_divisor,
+    load_json,
     load_morphism,
     resolve_graph,
 )
@@ -70,13 +73,16 @@ def _checked(call, *args):
         raise InvalidInputError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand's parser, with its handler as the default ``run``."""
     parser = _Parser(prog="divgraph", description=__doc__)
     parser.add_argument("--version", action="version", version=f"divgraph {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, graph=False, divisor=False, q=False, gdr=False, seed=False):
+    def add(name, help_, run, graph=False, divisor=False, q=False, gdr=False):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         if graph:
             p.add_argument("--graph", required=True, help="graph file or family spec")
         if divisor:
@@ -86,55 +92,57 @@ def build_parser() -> argparse.ArgumentParser:
         if gdr:
             for flag in ("--g", "--d", "--r"):
                 p.add_argument(flag, type=int, required=True)
-        if seed or graph:
+        if graph:
             p.add_argument("--seed", type=int, default=None, help="seed for random(n,m) specs")
         return p
 
-    add("genus", "genus of a graph", graph=True)
-    add("laplacian", "Laplacian matrix", graph=True)
-    add("trees", "spanning tree count", graph=True)
+    add("genus", "genus of a graph", _cmd_graph_report, graph=True)
+    add("laplacian", "Laplacian matrix", _cmd_graph_report, graph=True)
+    add("trees", "spanning tree count", _cmd_graph_report, graph=True)
 
-    p = add("refine", "homothetic refinement G^(k)", graph=True)
+    p = add("refine", "homothetic refinement G^(k)", _cmd_refine, graph=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--divisor", default=None, help="optional divisor to transport")
 
-    p = add("reduce", "q-reduced form of a divisor", graph=True, divisor=True, q=True)
-    add("rank", "Baker-Norine rank of a divisor", graph=True, divisor=True)
-    add("rr-verify", "Riemann-Roch residual of a divisor", graph=True, divisor=True)
+    add("reduce", "q-reduced form of a divisor", _cmd_reduce, graph=True, divisor=True, q=True)
+    add("rank", "Baker-Norine rank of a divisor", _cmd_rank, graph=True, divisor=True)
+    add("rr-verify", "Riemann-Roch residual of a divisor", _cmd_rr_verify,
+        graph=True, divisor=True)
 
-    add("rho", "Brill-Noether number", gdr=True)
-    add("bound", "refinement bound for (g,d,r)", gdr=True)
+    add("rho", "Brill-Noether number", _cmd_rho, gdr=True)
+    add("bound", "refinement bound for (g,d,r)", _cmd_bound, gdr=True)
 
-    p = sub.add_parser("bound-legacy", help="older (m+n^r d)! d^(m+n^r d) bound")
+    p = add("bound-legacy", "older (m+n^r d)! d^(m+n^r d) bound", _cmd_bound_legacy)
     for flag in ("--n", "--m", "--d", "--r"):
         p.add_argument(flag, type=int, required=True)
 
-    add("bound-compare", "factorial bound vs legacy bound", gdr=True)
+    add("bound-compare", "factorial bound vs legacy bound", _cmd_bound_compare, gdr=True)
 
-    p = add("search", "search refinements for a degree-d rank->=r divisor", graph=True)
+    p = add("search", "search refinements for a degree-d rank->=r divisor", _cmd_search,
+            graph=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k-max", type=int, default=None, dest="k_max")
     p.add_argument("--max-classes", type=int, default=None, dest="max_classes")
 
-    p = add("gonality", "smallest degree with a rank-r divisor", graph=True)
+    p = add("gonality", "smallest degree with a rank-r divisor", _cmd_gonality, graph=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--d-max", type=int, required=True, dest="d_max")
 
-    for name in ("harmonic-check", "rh-check"):
-        p = sub.add_parser(name, help=f"{name} on a morphism file")
+    for name, run in (("harmonic-check", _cmd_harmonic), ("rh-check", _cmd_rh)):
+        p = add(name, f"{name} on a morphism file", run)
         p.add_argument("--morphism", required=True)
 
-    p = sub.add_parser("pullback", help="pull a target divisor back along a morphism")
+    p = add("pullback", "pull a target divisor back along a morphism", _cmd_pullback)
     p.add_argument("--morphism", required=True)
     p.add_argument("--divisor", required=True)
 
-    p = add("pushforward", "contract edge bonds and push a divisor forward",
+    p = add("pushforward", "contract edge bonds and push a divisor forward", _cmd_pushforward,
             graph=True, divisor=True)
     p.add_argument("--contract", required=True,
                    help="JSON array of [u, v] pairs, inline or a file path")
 
-    p = sub.add_parser("batch", help="run a config of searches, resumably")
+    p = add("batch", "run a config of searches, resumably", _cmd_batch)
     p.add_argument("--config", required=True, help="batch config JSON file")
     p.add_argument("--out", required=True, help="JSON-lines results file")
     p.add_argument("--jobs", type=int, default=1)
@@ -343,13 +351,11 @@ def _cmd_pullback(args) -> tuple[dict, int]:
 def _cmd_pushforward(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
     raw = args.contract
-    if not raw.lstrip().startswith("["):
-        raw = Path(raw).read_text(encoding="utf-8")
     try:
-        pairs = json.loads(raw)
+        pairs = json.loads(raw) if raw.lstrip().startswith("[") else load_json(raw)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"--contract is not valid JSON: {exc}")
-    pi = contract(graph, pairs)
+    pi = contract(graph, check_type(pairs, "array", "--contract"))
     div = load_divisor(args.divisor, graph)
     pushed = pushforward_contraction(pi, div)
     return {
@@ -363,49 +369,19 @@ def _cmd_pushforward(args) -> tuple[dict, int]:
 
 
 def _cmd_batch(args) -> tuple[dict, int]:
-    config_path = Path(args.config)
-    try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"config is not valid JSON: {exc}")
     summary = batch_mod.batch_run(
-        config, args.out, jobs=args.jobs, base_dir=config_path.parent
+        load_json(args.config), args.out, jobs=args.jobs, base_dir=Path(args.config).parent
     )
     return {"config": str(args.config), "out": str(args.out), **summary}, 0
 
 
-_HANDLERS = {
-    "genus": _cmd_graph_report,
-    "laplacian": _cmd_graph_report,
-    "trees": _cmd_graph_report,
-    "refine": _cmd_refine,
-    "reduce": _cmd_reduce,
-    "rank": _cmd_rank,
-    "rr-verify": _cmd_rr_verify,
-    "rho": _cmd_rho,
-    "bound": _cmd_bound,
-    "bound-legacy": _cmd_bound_legacy,
-    "bound-compare": _cmd_bound_compare,
-    "search": _cmd_search,
-    "gonality": _cmd_gonality,
-    "harmonic-check": _cmd_harmonic,
-    "rh-check": _cmd_rh,
-    "pullback": _cmd_pullback,
-    "pushforward": _cmd_pushforward,
-    "batch": _cmd_batch,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        report, code = _HANDLERS[args.command](args)
+        report, code = args.run(args)
         try:
             text = json.dumps(report, indent=2, sort_keys=False)
         except ValueError as exc:

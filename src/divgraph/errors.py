@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Every error carries a stable ``slug`` used by the CLI for machine-readable
-reason fields.  :func:`check_int` is the one integer check for values read
-from input files and configs.
+reason fields.  :func:`check_int` and :func:`check_type` are the one
+integer check and the one JSON-type check for values read from input files
+and configs.
 """
 
 from __future__ import annotations
@@ -85,4 +86,16 @@ def check_int(value, what: str, minimum: Optional[int] = None) -> int:
     ):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise InvalidInputError(f"{what} must be an integer{at_least}, got {value!r}")
+    return value
+
+
+_JSON_TYPES = {"object": dict, "array": (list, tuple), "string": str}
+
+
+def check_type(value, kind: str, what: str):
+    """Return ``value`` if it has the JSON type ``kind`` (``"object"``,
+    ``"array"`` or ``"string"``); otherwise raise
+    :class:`InvalidInputError` naming ``what``."""
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise InvalidInputError(f"{what} must be a JSON {kind}, got {value!r:.80}")
     return value

@@ -158,13 +158,9 @@ def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigrap
 
     merged: dict[frozenset[str], tuple[str, str, int]] = {}
     for spec in edges:
-        if len(spec) == 2:
-            u, v = spec
-            m = 1
-        elif len(spec) == 3:
-            u, v, m = spec
-        else:
+        if not isinstance(spec, (list, tuple)) or len(spec) not in (2, 3):
             raise InvalidInputError(f"edge spec {spec!r} is not (u, v[, mult])")
+        u, v, m = spec if len(spec) == 3 else (*spec, 1)
         u, v = str(u), str(v)
         if u not in known:
             raise UnknownVertexError(f"edge endpoint {u!r} is not a declared vertex")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .divisors import Divisor
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     NotHarmonicError,
     UnknownVertexError,
     check_int,
+    check_type,
 )
 from .graphs import Multigraph, build_graph, genus
 
@@ -79,10 +80,10 @@ class HarmonicReport:
 def build_morphism(
     source: Multigraph,
     target: Multigraph,
-    vertex_map: Mapping[str, str],
+    vertex_map: dict[str, str],
     edge_map: Sequence[tuple[Sequence, Sequence]],
-    local_degree: Optional[Mapping[str, int]] = None,
-    marked_legs: Optional[Mapping[str, int]] = None,
+    local_degree: Optional[dict[str, int]] = None,
+    marked_legs: Optional[dict[str, int]] = None,
 ) -> GraphMorphism:
     """Validate and construct a :class:`GraphMorphism`.
 
@@ -93,12 +94,13 @@ def build_morphism(
     endpoints that do not track the vertex map) raise; harmonicity itself
     is judged by :func:`check_harmonic`.
     """
-    local_degree = local_degree or {}
+    check_type(vertex_map, "object", "vertex_map")
+    local_degree = check_type(local_degree or {}, "object", "local_degree")
     vmap: list[int] = []
     for v in source.vertices:
         if v not in vertex_map:
             raise UnknownVertexError(f"vertex_map does not cover source vertex {v!r}")
-        w = vertex_map[v]
+        w = check_type(vertex_map[v], "string", f"vertex_map image of {v!r}")
         if w not in target.index:
             raise UnknownVertexError(f"vertex_map sends {v!r} to unknown vertex {w!r}")
         vmap.append(target.index[w])
@@ -107,17 +109,16 @@ def build_morphism(
         raise UnknownVertexError(f"vertex_map names unknown source vertices: {sorted(extra)}")
 
     def edge_ref(graph: Multigraph, ref: Sequence) -> int:
-        if len(ref) == 2:
-            u, v = ref
-            copy = 0
-        elif len(ref) == 3:
-            u, v, copy = ref
-        else:
+        if not isinstance(ref, (list, tuple)) or len(ref) not in (2, 3):
             raise InvalidInputError(f"edge reference {ref!r} is not (u, v[, copy])")
+        u, v, copy = ref if len(ref) == 3 else (*ref, 0)
         return graph.edge_index(str(u), str(v), check_int(copy, "edge copy index"))
 
     emap: dict[int, int] = {}
-    for src_ref, tgt_ref in edge_map:
+    for entry in check_type(edge_map, "array", "edge_map"):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InvalidInputError(f"edge_map entry {entry!r} is not [source_edge, target_edge]")
+        src_ref, tgt_ref = entry
         e = edge_ref(source, src_ref)
         if e in emap:
             raise InvalidInputError(f"source edge {src_ref!r} mapped twice")
@@ -146,6 +147,7 @@ def build_morphism(
         )
 
     legs = ()
+    marked_legs = check_type(marked_legs or {}, "object", "marked_legs")
     if marked_legs:
         unknown_legs = set(marked_legs) - set(source.vertices)
         if unknown_legs:
@@ -317,7 +319,7 @@ def contract(graph: Multigraph, pairs: Sequence[Sequence[str]]) -> Contraction:
 
     norm_pairs: list[tuple[str, str]] = []
     for pair in pairs:
-        if len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInputError(f"contraction pair {pair!r} is not (u, v)")
         u, v = str(pair[0]), str(pair[1])
         if u not in graph.index or v not in graph.index:

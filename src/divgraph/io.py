@@ -21,12 +21,14 @@ from typing import Union
 
 from . import families
 from .divisors import Divisor
-from .errors import InvalidInputError, check_int
+from .errors import InvalidInputError, check_int, check_type
 from .graphs import Multigraph, build_graph
 from .harmonic import GraphMorphism, build_morphism
 
 
-def _load_json(path: Union[str, Path]):
+def load_json(path: Union[str, Path]):
+    """Read a JSON document; an unreadable file or invalid JSON raises
+    :class:`InvalidInputError`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -40,13 +42,10 @@ def _load_json(path: Union[str, Path]):
 def graph_from_doc(doc: dict) -> tuple[str, Multigraph]:
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InvalidInputError("graph document needs 'vertices' and 'edges' fields")
-    name = str(doc.get("name", "graph"))
-    edges = []
-    for entry in doc["edges"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
-            raise InvalidInputError(f"edge entry {entry!r} is not [u, v] or [u, v, mult]")
-        edges.append(tuple(entry))
-    return name, build_graph(doc["vertices"], edges)
+    return str(doc.get("name", "graph")), build_graph(
+        check_type(doc["vertices"], "array", "graph 'vertices'"),
+        check_type(doc["edges"], "array", "graph 'edges'"),
+    )
 
 
 def graph_to_doc(graph: Multigraph, name: str) -> dict:
@@ -58,7 +57,7 @@ def graph_to_doc(graph: Multigraph, name: str) -> dict:
 
 
 def load_graph(path: Union[str, Path]) -> tuple[str, Multigraph]:
-    return graph_from_doc(_load_json(path))
+    return graph_from_doc(load_json(path))
 
 
 def resolve_graph(ref: str, base_dir: Union[str, Path, None] = None) -> tuple[str, Multigraph]:
@@ -77,9 +76,7 @@ def resolve_graph(ref: str, base_dir: Union[str, Path, None] = None) -> tuple[st
 
 
 def load_divisor(path: Union[str, Path], graph: Multigraph) -> Divisor:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InvalidInputError("divisor document must be a vertex->coefficient object")
+    doc = check_type(load_json(path), "object", "divisor document")
     values = {}
     for key, val in doc.items():
         values[str(key)] = check_int(val, f"divisor coefficient for {key!r}")
@@ -100,24 +97,17 @@ def _resolve_graph_field(doc: dict, field: str, base_dir) -> tuple[str, Multigra
 
 
 def load_morphism(path: Union[str, Path]) -> GraphMorphism:
-    doc = _load_json(path)
+    doc = check_type(load_json(path), "object", "morphism document")
     base_dir = Path(path).parent
     _, source = _resolve_graph_field(doc, "source", base_dir)
     _, target = _resolve_graph_field(doc, "target", base_dir)
     if "vertex_map" not in doc or "edge_map" not in doc:
         raise InvalidInputError("morphism document needs 'vertex_map' and 'edge_map'")
-    edge_map = []
-    for entry in doc["edge_map"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InvalidInputError(
-                f"edge_map entry {entry!r} is not [source_edge, target_edge]"
-            )
-        edge_map.append((entry[0], entry[1]))
     return build_morphism(
         source,
         target,
         vertex_map=doc["vertex_map"],
-        edge_map=edge_map,
+        edge_map=doc["edge_map"],
         local_degree=doc.get("local_degree"),
         marked_legs=doc.get("marked_legs"),
     )

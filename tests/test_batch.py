@@ -182,6 +182,16 @@ class TestBatchCli:
         assert first["theorem_bound"] == "rr-shortcut"
         assert second["theorem_bound"] == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_at_least_one(self, capsys, tmp_path, jobs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        code = main(["batch", "--config", str(config), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "invalid-input"
+        assert not out.exists()
+
 
 class TestMalformedConfig:
     """A malformed config is reported as invalid input before any unit runs."""

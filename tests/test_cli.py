@@ -283,6 +283,50 @@ class TestExitCodesAndStability:
         assert code == 2
         assert report["error"] == "invalid-input"
 
+    MORPHISM = json.loads((FIXTURES / "path_onto_edge.morphism").read_text(encoding="utf-8"))
+    PUSHFORWARD = ("pushforward", "--graph", "banana(2)", "--divisor", "{div}", "--contract")
+    MALFORMED = {
+        "contract-file-missing": (PUSHFORWARD + ("{doc}",), None),
+        "contract-entry-not-a-pair": (PUSHFORWARD + ("[5]",), None),
+        "graph-edges-not-an-array": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": ["a", "b"], "edges": 5},
+        ),
+        "graph-vertices-a-string": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": "ab", "edges": [["a", "b"]]},
+        ),
+        "vertex-map-an-array": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "vertex_map": ["x", "y", "x"]},
+        ),
+        "local-degree-an-array": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "local_degree": [1, 2, 1]},
+        ),
+        "edge-ref-not-a-pair": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "edge_map": [[5, ["v0", "v1"]]]},
+        ),
+        "vertex-image-an-array": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "vertex_map": {"a": ["x"], "b": "y", "c": "x"}},
+        ),
+    }
+
+    @pytest.mark.parametrize("argv,doc", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_document_is_invalid_input(self, capsys, tmp_path, argv, doc):
+        # doc None leaves {doc} an unreadable path
+        path, divisor = tmp_path / "doc.json", tmp_path / "d.div"
+        if doc is not None:
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        divisor.write_text("{}", encoding="utf-8")
+        code = main([a.format(doc=path, div=divisor) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "invalid-input"
+        assert captured.err == ""
+
     def test_loop_edge_reason(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text(
@@ -305,6 +349,15 @@ class TestExitCodesAndStability:
         code1, out1 = run(capsys, *argv)
         code2, out2 = run(capsys, *argv)
         assert code1 == code2
+        assert out1 == out2
+
+    def test_parser_reused_after_usage_errors(self, capsys):
+        argv = ("search", "--graph", "theta(2,2,2)", "--d", "3", "--r", "1")
+        code1, out1 = run(capsys, *argv)
+        assert main(["no-such-command"]) == 1
+        assert main(["search", "--graph", "theta(2,2,2)", "--r", "1"]) == 1
+        code2, out2 = run(capsys, *argv)
+        assert code1 == code2 == 0
         assert out1 == out2
 
 
