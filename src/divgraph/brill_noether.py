@@ -22,6 +22,7 @@ from .divisors import (
     vertex_divisor,
 )
 from .errors import (
+    InvalidInputError,
     NegativeRhoError,
     NonIntegralBoundError,
     PreconditionViolatedError,
@@ -39,10 +40,9 @@ Bound = Union[int, str]
 
 
 def rho(g: int, d: int, r: int) -> int:
-    """Brill-Noether number (r+1)(d-r) - g*r."""
+    """Brill-Noether number (r+1)(d-r) - g*r of non-negative integers."""
     for name, value in (("g", g), ("d", d), ("r", r)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+        check_int(value, name, 0)
     return (r + 1) * (d - r) - g * r
 
 
@@ -55,10 +55,12 @@ def bn_bound(g: int, d: int, r: int) -> Bound:
     theta-divisor translates, hence a positive integer whenever rho >= 0
     and g - d + r >= 0; a failed integrality check raises rather than
     rounding.  When g - d + r < 0 the formula is undefined and refinement
-    is unnecessary, so :data:`RR_SHORTCUT` is returned.
+    is unnecessary, so :data:`RR_SHORTCUT` is returned.  Raises
+    :class:`NegativeRhoError` when rho < 0.
     """
-    if rho(g, d, r) < 0:
-        raise NegativeRhoError(f"rho({g},{d},{r}) = {rho(g, d, r)} < 0")
+    p = rho(g, d, r)
+    if p < 0:
+        raise NegativeRhoError(f"rho({g},{d},{r}) = {p} < 0")
     if g - d + r < 0:
         return RR_SHORTCUT
     value = Fraction(factorial(g))
@@ -75,7 +77,7 @@ def legacy_bound(n: int, m: int, d: int, r: int) -> int:
     """The earlier combinatorial bound (m + n^r * d)! * d^(m + n^r * d) for
     a graph with n vertices and m edges."""
     if n < 1 or m < 0 or d < 1 or r < 0:
-        raise ValueError("need n >= 1, m >= 0, d >= 1, r >= 0")
+        raise InvalidInputError("need n >= 1, m >= 0, d >= 1, r >= 0")
     e = m + n**r * d
     return factorial(e) * d**e
 
@@ -104,38 +106,22 @@ def bound_chain_check(g: int, d: int, r: int) -> bool:
 
 
 @dataclass(frozen=True)
-class BNParams:
-    g: int
-    d: int
-    r: int
-
-
-@dataclass(frozen=True)
 class BoundReport:
-    """The exact numerology for one (g, d, r) instance.  ``legacy_bound``
-    is None for d = 0, where the older formula degenerates."""
+    """The exact numerology for one (g, d, r) instance."""
 
-    params: BNParams
     rho: int
     theorem_bound: Bound
-    legacy_bound: Optional[int]
     k_range: tuple[int, int]
 
 
 def bound_report(g: int, d: int, r: int) -> BoundReport:
-    """Assemble rho, both bounds and the searched k interval.  The legacy
-    bound uses the genus-minimal graph shape (2 vertices, g+1 edges)."""
-    p = rho(g, d, r)
-    if p < 0:
-        raise NegativeRhoError(f"rho({g},{d},{r}) = {p} < 0")
+    """rho, the factorial bound and the searched k interval [0, bound - 1],
+    which is [0, 0] under :data:`RR_SHORTCUT`."""
     bound = bn_bound(g, d, r)
-    k_hi = 0 if bound == RR_SHORTCUT else bound - 1
     return BoundReport(
-        params=BNParams(g, d, r),
-        rho=p,
+        rho=rho(g, d, r),
         theorem_bound=bound,
-        legacy_bound=legacy_bound(2, g + 1, d, r) if d >= 1 else None,
-        k_range=(0, k_hi),
+        k_range=(0, 0 if bound == RR_SHORTCUT else bound - 1),
     )
 
 
@@ -204,9 +190,8 @@ def find_gdr(
     """
     limits = limits or SearchLimits()
     g = genus(graph)
-    if rho(g, d, r) < 0:
-        raise NegativeRhoError(f"rho({g},{d},{r}) = {rho(g, d, r)} < 0")
-
+    # before either branch, so bad arguments and rho < 0 raise first
+    k_hi = bound_report(g, d, r).k_range[1]
     if d - g >= r:
         q = graph.vertices[0]
         witness = reduce(graph, vertex_divisor(graph, q, d), q).divisor
@@ -218,9 +203,6 @@ def find_gdr(
             found=True, k=0, witness=witness, classes_examined=1, exhausted=True
         )
 
-    bound = bn_bound(g, d, r)
-    assert isinstance(bound, int)
-    k_hi = bound - 1
     limit_hit = None
     if limits.max_k is not None and limits.max_k < k_hi:
         k_hi = limits.max_k
@@ -266,10 +248,8 @@ def gonality_search(graph: Multigraph, r: int, d_max: int) -> GonalityResult:
     itself (no refinement), with a witness.  Starts at d = r since the rank
     never exceeds the degree.  Each degree is one level scan of
     :func:`find_gdr` on the graph itself."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if d_max < 0:
-        raise ValueError(f"d_max must be >= 0, got {d_max}")
+    check_int(r, "r", 1)
+    check_int(d_max, "d_max", 0)
     examined = 0
     for d in range(r, d_max + 1):
         witness, used, _ = _search_one_level(graph, d, r, None)

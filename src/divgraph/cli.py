@@ -64,15 +64,6 @@ def _graph_arg(ref: str, seed: Optional[int]) -> tuple[str, "Multigraph"]:
     return resolve_graph(ref)
 
 
-def _checked(call, *args):
-    """Call a library function whose ValueError means an argument out of
-    range, reporting that as invalid input."""
-    try:
-        return call(*args)
-    except ValueError as exc:
-        raise InvalidInputError(str(exc)) from exc
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Every subcommand's parser, with its handler as the default ``run``."""
@@ -227,12 +218,12 @@ def _cmd_rr_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_rho(args) -> tuple[dict, int]:
-    value = _checked(rho, args.g, args.d, args.r)
+    value = rho(args.g, args.d, args.r)
     return {"g": args.g, "d": args.d, "r": args.r, "rho": value}, 0
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    report = _checked(bound_report, args.g, args.d, args.r)
+    report = bound_report(args.g, args.d, args.r)
     return {
         "g": args.g,
         "d": args.d,
@@ -244,19 +235,21 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 
 def _cmd_bound_legacy(args) -> tuple[dict, int]:
-    value = _checked(legacy_bound, args.n, args.m, args.d, args.r)
+    value = legacy_bound(args.n, args.m, args.d, args.r)
     return {"n": args.n, "m": args.m, "d": args.d, "r": args.r, "legacy_bound": value}, 0
 
 
 def _cmd_bound_compare(args) -> tuple[dict, int]:
-    report = _checked(bound_report, args.g, args.d, args.r)
+    report = bound_report(args.g, args.d, args.r)
+    # the genus-minimal graph shape (2 vertices, g+1 edges); none for d = 0
+    legacy = legacy_bound(2, args.g + 1, args.d, args.r) if args.d >= 1 else None
     out = {
         "g": args.g,
         "d": args.d,
         "r": args.r,
         "rho": report.rho,
         "theorem_bound": report.theorem_bound,
-        "legacy_bound": report.legacy_bound,
+        "legacy_bound": legacy,
         "k_range": list(report.k_range),
     }
     try:
@@ -270,7 +263,7 @@ def _cmd_bound_compare(args) -> tuple[dict, int]:
 def _cmd_search(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
     g = genus(graph)
-    p = _checked(rho, g, args.d, args.r)
+    p = rho(g, args.d, args.r)
     limits = SearchLimits(max_k=args.k_max, max_classes=args.max_classes)
     result = find_gdr(graph, args.d, args.r, limits)
     report = {
@@ -297,7 +290,7 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 def _cmd_gonality(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
-    result = _checked(gonality_search, graph, args.r, args.d_max)
+    result = gonality_search(graph, args.r, args.d_max)
     return {
         "graph": name,
         "r": args.r,

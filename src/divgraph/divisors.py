@@ -22,6 +22,7 @@ from .errors import (
     EmptyOrFullSetError,
     IndexMismatchError,
     UnknownVertexError,
+    check_int,
 )
 from .graphs import Multigraph, RefinementMap, genus
 
@@ -53,20 +54,13 @@ class Divisor:
     def zero(cls, graph: Multigraph) -> "Divisor":
         return cls(graph, (0,) * len(graph.vertices))
 
-    def to_map(self, include_zero: bool = False) -> dict[str, int]:
-        return {
-            v: c
-            for v, c in zip(self.graph.vertices, self.coeffs)
-            if include_zero or c != 0
-        }
+    def to_map(self) -> dict[str, int]:
+        """The non-zero coefficients by vertex name."""
+        return {v: c for v, c in zip(self.graph.vertices, self.coeffs) if c != 0}
 
     @cached_property
     def degree(self) -> int:
         return sum(self.coeffs)
-
-    @property
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
 
     def at(self, v: str) -> int:
         return self.coeffs[self.graph.index[v]]
@@ -313,19 +307,23 @@ def _effective_rep_raw(graph: Multigraph, coeffs: list[int]) -> bool:
 def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
     """Whether the Baker-Norine rank is at least r.
 
-    Checks |D - E| nonempty for every effective divisor E of degree r; E
-    ranges over size-r vertex multisets in lexicographic index order, and
-    the scan short-circuits on the first failure.
+    For deg D > 2g - 2 the verdict is deg D - g >= r, as in :func:`rank`.
+    Otherwise this checks |D - E| nonempty for every effective divisor E of
+    degree r; E ranges over size-r vertex multisets in lexicographic index
+    order, and the scan short-circuits on the first failure.
 
     The first multiset is E = r*(q) with q the vertex of index 0.  With
     base the q-reduced form of D, base - r*(q) is still q-reduced, so that
     trial fails iff base(q) < r; the check ``base[qi] < r`` returns that
     verdict without reducing the trial.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if divisor.degree < r:
+    check_int(r, "r", 0)
+    d = divisor.degree
+    if d < r:
         return False
+    g = genus(graph)
+    if d > 2 * g - 2:
+        return d - g >= r
     qi = 0
     base = _reduce_coeffs(graph, list(divisor.coeffs), qi)
     if base[qi] < r:

@@ -17,7 +17,9 @@ class DivGraphError(Exception):
     slug = "error"
 
 
-class InvalidInputError(DivGraphError):
+class InvalidInputError(DivGraphError, ValueError):
+    """Also a :class:`ValueError`, so callers that catch one keep working."""
+
     slug = "invalid-input"
 
 

@@ -23,6 +23,7 @@ from .errors import (
     LoopEdgeError,
     UnknownVertexError,
     check_int,
+    check_type,
 )
 
 EdgeSpec = Sequence  # (u, v) or (u, v, multiplicity)
@@ -71,9 +72,6 @@ class Multigraph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(m for _, m in nbrs) for nbrs in self.adjacency)
-
-    def degree(self, v: str) -> int:
-        return self.degrees[self.index[v]]
 
     @cached_property
     def edge_list(self) -> tuple[tuple[str, str], ...]:
@@ -147,9 +145,10 @@ def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigrap
 
     Raises :class:`EmptyVertexSetError`, :class:`UnknownVertexError`,
     :class:`LoopEdgeError`, :class:`DisconnectedError` or
-    :class:`InvalidInputError` (bad multiplicity, duplicate vertex names).
+    :class:`InvalidInputError` (a vertex name or endpoint that is not a
+    string, bad multiplicity, duplicate vertex names).
     """
-    verts = tuple(str(v) for v in vertices)
+    verts = tuple(check_type(v, "string", "vertex name") for v in vertices)
     if not verts:
         raise EmptyVertexSetError("a graph needs at least one vertex")
     if len(set(verts)) != len(verts):
@@ -161,7 +160,8 @@ def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigrap
         if not isinstance(spec, (list, tuple)) or len(spec) not in (2, 3):
             raise InvalidInputError(f"edge spec {spec!r} is not (u, v[, mult])")
         u, v, m = spec if len(spec) == 3 else (*spec, 1)
-        u, v = str(u), str(v)
+        check_type(u, "string", "edge endpoint")
+        check_type(v, "string", "edge endpoint")
         if u not in known:
             raise UnknownVertexError(f"edge endpoint {u!r} is not a declared vertex")
         if v not in known:
@@ -262,9 +262,6 @@ class RefinementMap:
     k: int
     vertex_embedding: tuple[str, ...]
     edge_chains: tuple[tuple[str, ...], ...]
-
-    def embed(self, v: str) -> str:
-        return self.vertex_embedding[self.source.index[v]]
 
 
 def refine(graph: Multigraph, k: int) -> tuple[Multigraph, RefinementMap]:

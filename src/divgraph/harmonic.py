@@ -55,9 +55,6 @@ class GraphMorphism:
     local_degree: tuple[int, ...]
     marked_legs: tuple[int, ...] = ()
 
-    def image(self, v: str) -> str:
-        return self.target.vertices[self.vertex_map[self.source.index[v]]]
-
     def marked_leg_map(self) -> dict[str, int]:
         if not self.marked_legs:
             return {}
@@ -296,9 +293,6 @@ class Contraction:
     target: Multigraph
     vertex_class: tuple[int, ...]  # target vertex index per source vertex
     contracted_pairs: tuple[tuple[str, str], ...]
-
-    def image(self, v: str) -> str:
-        return self.target.vertices[self.vertex_class[self.source.index[v]]]
 
 
 def contract(graph: Multigraph, pairs: Sequence[Sequence[str]]) -> Contraction:

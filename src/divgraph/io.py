@@ -42,7 +42,7 @@ def load_json(path: Union[str, Path]):
 def graph_from_doc(doc: dict) -> tuple[str, Multigraph]:
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InvalidInputError("graph document needs 'vertices' and 'edges' fields")
-    return str(doc.get("name", "graph")), build_graph(
+    return check_type(doc.get("name", "graph"), "string", "graph 'name'"), build_graph(
         check_type(doc["vertices"], "array", "graph 'vertices'"),
         check_type(doc["edges"], "array", "graph 'edges'"),
     )

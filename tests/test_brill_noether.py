@@ -50,6 +50,22 @@ class TestRho:
             rho(-1, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rho(-1, 0, 0),
+        lambda: legacy_bound(0, 1, 1, 1),
+        lambda: gonality_search(cycle(4), 0, 3),
+        lambda: rank_at_least(cycle(4), Divisor.zero(cycle(4)), -1),
+    ],
+    ids=["rho", "legacy_bound", "gonality_search", "rank_at_least"],
+)
+def test_argument_out_of_range_is_typed_and_a_value_error(call):
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
 def bn_bound_fraction_oracle(g, d, r):
     """Independent big-rational evaluation of the factorial product."""
     value = Fraction(factorial(g))
@@ -158,17 +174,11 @@ class TestBoundReport:
         assert report.rho == 0
         assert report.theorem_bound == 2
         assert report.k_range == (0, 1)
-        assert report.theorem_bound < report.legacy_bound
 
     def test_shortcut_k_range(self):
         report = bound_report(0, 2, 1)
         assert report.theorem_bound is RR_SHORTCUT
         assert report.k_range == (0, 0)
-
-    def test_degree_zero_has_no_legacy_value(self):
-        report = bound_report(3, 0, 0)
-        assert report.theorem_bound == 1
-        assert report.legacy_bound is None
 
     def test_negative_rho(self):
         with pytest.raises(NegativeRhoError):

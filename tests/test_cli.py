@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import divgraph.brill_noether
+import divgraph.cli
 from divgraph.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -79,7 +81,26 @@ class TestNumerology:
         assert code == 0
         assert report["theorem_bound"] == 2
         assert report["chain_ok"] is True
+        assert report["legacy_bound"] == math.factorial(11) * 3**11
         assert report["theorem_bound"] < report["legacy_bound"]
+
+    def test_bound_compare_degree_zero_has_no_legacy_value(self, capsys):
+        code, report = run_json(capsys, "bound-compare", "--g", "3", "--d", "0", "--r", "0")
+        assert code == 0
+        assert report["theorem_bound"] == 1
+        assert report["legacy_bound"] is None
+
+    def test_bound_computes_no_legacy_bound(self, capsys, monkeypatch):
+        argv = ("bound", "--g", "4", "--d", "3", "--r", "1")
+        expected = run(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("bound computed the legacy bound")
+
+        monkeypatch.setattr(divgraph.cli, "legacy_bound", refuse)
+        monkeypatch.setattr(divgraph.brill_noether, "legacy_bound", refuse)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
 
     def test_bound_compare_precondition_note(self, capsys):
         code, report = run_json(capsys, "bound-compare", "--g", "3", "--d", "2", "--r", "0")
@@ -295,6 +316,22 @@ class TestExitCodesAndStability:
         "graph-vertices-a-string": (
             ("genus", "--graph", "{doc}"),
             {"name": "g", "vertices": "ab", "edges": [["a", "b"]]},
+        ),
+        "graph-vertex-names-integers": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": [1, 2], "edges": [[1, 2]]},
+        ),
+        "graph-vertex-name-an-array": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": [["a"], "b"], "edges": [[["a"], "b"]]},
+        ),
+        "graph-edge-endpoints-integers": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": ["1", "2"], "edges": [[1, 2]]},
+        ),
+        "graph-name-an-integer": (
+            ("genus", "--graph", "{doc}"),
+            {"name": 5, "vertices": ["a", "b"], "edges": [["a", "b"]]},
         ),
         "vertex-map-an-array": (
             ("harmonic-check", "--morphism", "{doc}"),

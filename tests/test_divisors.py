@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import divgraph.divisors
 from divgraph import (
     Divisor,
     EmptyOrFullSetError,
@@ -27,8 +28,9 @@ from divgraph import (
     superstable_configs,
     transport,
     refine,
+    vertex_divisor,
 )
-from divgraph.families import banana, cycle, theta
+from divgraph.families import banana, cycle, random_multigraph, theta
 
 from conftest import (
     CORPUS,
@@ -261,7 +263,9 @@ class TestRank:
 
     @pytest.mark.parametrize("name,graph", CORPUS[:8])
     def test_riemann_roch_shortcut_matches_definition(self, name, graph):
-        # recompute ranks definitionally where the deg > 2g-2 shortcut fires
+        # recompute ranks definitionally where the deg > 2g-2 shortcut of
+        # rank and rank_at_least fires: the largest r such that D - E is
+        # equivalent to an effective divisor for every effective E of degree r
         g = genus(graph)
         n = len(graph.vertices)
         rng = random.Random(23)
@@ -271,11 +275,31 @@ class TestRank:
             if not 2 * g - 2 < d.degree <= 2 * g + 2:
                 continue
             expected = d.degree - g
-            r = 0
-            while rank_at_least(graph, d, r + 1):
+            r = -1
+            while all(
+                has_effective_rep(graph, d - Divisor(graph, tuple(map(combo.count, range(n)))))
+                for combo in itertools.combinations_with_replacement(range(n), r + 1)
+            ):
                 r += 1
             assert r == expected
             assert rank(graph, d) == expected
+            assert rank_at_least(graph, d, expected)
+            assert not rank_at_least(graph, d, expected + 1)
+
+    def test_rank_at_least_above_canonical_degree_reduces_nothing(self, monkeypatch):
+        # deg D > 2g - 2: Riemann-Roch gives the verdict deg D - g >= r, with
+        # no reduction and none of the C(n+r-1, r) effectivity trials
+        graph = random_multigraph(10, 12, 1)  # g = 3
+        d = vertex_divisor(graph, graph.vertices[0], 17)
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("rank_at_least reduced a divisor")
+
+        monkeypatch.setattr(divgraph.divisors, "_effective_rep_raw", no_reduction)
+        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", no_reduction)
+        assert rank_at_least(graph, d, 13)
+        assert rank_at_least(graph, d, 14)
+        assert not rank_at_least(graph, d, 15)
 
 
 class TestEnumerateClasses:
