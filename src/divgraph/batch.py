@@ -20,7 +20,7 @@ from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
 from .divisors import rank_at_least
 from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, genus
-from .io import resolve_graph
+from .io import parse_json, resolve_graph
 
 
 def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
@@ -119,6 +119,9 @@ def _encode_record(record: dict) -> tuple[str, dict]:
 
 
 def load_recorded_keys(out_path: Union[str, Path]) -> set[str]:
+    """The keys of the records in ``out_path``.  A line that is not a JSON
+    object with a string ``key`` raises :class:`InvalidInputError`; an
+    oversized integer literal raises :class:`IntegerTooLargeError`."""
     path = Path(out_path)
     keys: set[str] = set()
     if path.exists():
@@ -127,9 +130,13 @@ def load_recorded_keys(out_path: Union[str, Path]) -> set[str]:
             if not line:
                 continue
             try:
-                keys.add(json.loads(line)["key"])
-            except (json.JSONDecodeError, KeyError):
+                record = parse_json(line, out_path)
+            except InvalidInputError:
+                record = None
+            key = record.get("key") if isinstance(record, dict) else None
+            if not isinstance(key, str):
                 raise InvalidInputError(f"corrupt record in {out_path}: {line[:80]}")
+            keys.add(key)
     return keys
 
 

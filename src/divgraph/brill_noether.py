@@ -82,7 +82,7 @@ def legacy_bound(n: int, m: int, d: int, r: int) -> int:
     return factorial(e) * d**e
 
 
-def bound_chain_check(g: int, d: int, r: int) -> bool:
+def bound_chain_check(g: int, d: int, r: int, *, legacy: Optional[int] = None) -> bool:
     """Exact-arithmetic verification that the factorial bound beats the
     legacy bound through the chain
 
@@ -90,7 +90,9 @@ def bound_chain_check(g: int, d: int, r: int) -> bool:
 
     The first comparison admits equality (it is tight at g - d + r = 0 with
     r = 1); the rest are strict.  Requires rho >= 0, g - d + r >= 0, r >= 1
-    and d > r.
+    and d > r.  A caller that already holds legacy_bound(2, g+1, d, r)
+    passes it as ``legacy``: it is a factorial of g + 1 + 2^r d and takes
+    seconds to compute from r near 14 on.
     """
     if rho(g, d, r) < 0 or g - d + r < 0 or r < 1 or d <= r:
         raise PreconditionViolatedError(
@@ -102,7 +104,9 @@ def bound_chain_check(g: int, d: int, r: int) -> bool:
     t1 = fg * factorial(r) ** r
     t2 = fg * factorial(d) ** r
     t3 = fg * d ** (d * r)
-    return bound <= t1 < t2 < t3 < legacy_bound(2, g + 1, d, r)
+    if legacy is None:
+        legacy = legacy_bound(2, g + 1, d, r)
+    return bound <= t1 < t2 < t3 < legacy
 
 
 @dataclass(frozen=True)

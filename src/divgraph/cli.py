@@ -31,7 +31,6 @@ from .divisors import canonical, rank, reduce, riemann_roch_residual, transport
 from .errors import (
     DivGraphError,
     IntegerTooLargeError,
-    InvalidInputError,
     PreconditionViolatedError,
     check_type,
 )
@@ -43,6 +42,7 @@ from .io import (
     load_divisor,
     load_json,
     load_morphism,
+    parse_json,
     resolve_graph,
 )
 
@@ -253,7 +253,7 @@ def _cmd_bound_compare(args) -> tuple[dict, int]:
         "k_range": list(report.k_range),
     }
     try:
-        out["chain_ok"] = bound_chain_check(args.g, args.d, args.r)
+        out["chain_ok"] = bound_chain_check(args.g, args.d, args.r, legacy=legacy)
     except PreconditionViolatedError:
         out["chain_ok"] = None
         out["chain_note"] = "chain comparison needs g-d+r>=0, r>=1 and d>r"
@@ -344,10 +344,7 @@ def _cmd_pullback(args) -> tuple[dict, int]:
 def _cmd_pushforward(args) -> tuple[dict, int]:
     name, graph = _graph_arg(args.graph, args.seed)
     raw = args.contract
-    try:
-        pairs = json.loads(raw) if raw.lstrip().startswith("[") else load_json(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"--contract is not valid JSON: {exc}")
+    pairs = parse_json(raw, "--contract") if raw.lstrip().startswith("[") else load_json(raw)
     pi = contract(graph, check_type(pairs, "array", "--contract"))
     div = load_divisor(args.divisor, graph)
     pushed = pushforward_contraction(pi, div)

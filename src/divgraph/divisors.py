@@ -344,11 +344,27 @@ def rank(graph: Multigraph, divisor: Divisor) -> int:
     """The Baker-Norine rank of a divisor.
 
     -1 when |D| is empty; otherwise the largest r such that removing any
-    effective degree-r divisor leaves an effective representative.  Two
-    shortcuts, both validated against the definition in the test suite:
-    rank never exceeds the degree, and for deg D > 2g - 2 the rank equals
-    deg D - g exactly (Riemann-Roch).
+    effective degree-r divisor leaves an effective representative.
+
+    Riemann-Roch for graphs (Baker-Norine 2007) gives
+    r(D) = deg D - g + 1 + r(K - D) for every divisor, so the scan of
+    :func:`_scan_rank` runs on whichever of D and K - D has the smaller
+    degree: on K - D when deg D > g - 1, on D otherwise.  Its cost grows
+    with the rank it scans through, and deg(K - D) < g - 1 there.
     """
+    d = divisor.degree
+    g = genus(graph)
+    if d > g - 1:
+        return d - g + 1 + _scan_rank(graph, canonical(graph) - divisor)
+    return _scan_rank(graph, divisor)
+
+
+def _scan_rank(graph: Multigraph, divisor: Divisor) -> int:
+    """The Baker-Norine rank by the definition: the largest r with
+    :func:`rank_at_least`, raised one step at a time.  Two shortcuts, both
+    validated against the definition in the test suite: rank never exceeds
+    the degree, and for deg D > 2g - 2 the rank equals deg D - g exactly
+    (Riemann-Roch)."""
     d = divisor.degree
     if d < 0:
         return -1
@@ -523,11 +539,13 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[ReducedDivi
 
 def riemann_roch_residual(graph: Multigraph, divisor: Divisor) -> int:
     """rank(D) - rank(K - D) - deg(D) + g - 1; zero for every divisor by
-    the Riemann-Roch theorem for graphs.  Exposed as a correctness oracle."""
+    the Riemann-Roch theorem for graphs.  Exposed as a correctness oracle,
+    so both ranks come from :func:`_scan_rank`: :func:`rank` applies the
+    theorem itself, which would make the residual zero by construction."""
     k = canonical(graph)
     return (
-        rank(graph, divisor)
-        - rank(graph, k - divisor)
+        _scan_rank(graph, divisor)
+        - _scan_rank(graph, k - divisor)
         - divisor.degree
         + genus(graph)
         - 1

@@ -72,7 +72,8 @@ class ClassMismatchError(DivGraphError):
 
 
 class IntegerTooLargeError(DivGraphError):
-    """A report integer exceeds the interpreter's int-to-str digit limit."""
+    """An integer in a report, or an integer literal in JSON input, exceeds
+    the interpreter's int-to-str digit limit (``sys.get_int_max_str_digits``)."""
 
     slug = "integer-too-large"
 

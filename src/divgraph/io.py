@@ -21,22 +21,33 @@ from typing import Union
 
 from . import families
 from .divisors import Divisor
-from .errors import InvalidInputError, check_int, check_type
+from .errors import IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, build_graph
 from .harmonic import GraphMorphism, build_morphism
 
 
+def parse_json(text: str, source):
+    """Parse a JSON document read from ``source``.  Invalid JSON raises
+    :class:`InvalidInputError`; an integer literal past the interpreter's
+    int-to-str digit limit raises :class:`IntegerTooLargeError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{source} is not valid JSON: {exc}")
+    except ValueError as exc:
+        # sys.get_int_max_str_digits() caps str-to-int conversion too
+        raise IntegerTooLargeError(f"{source}: {exc}")
+
+
 def load_json(path: Union[str, Path]):
     """Read a JSON document; an unreadable file or invalid JSON raises
-    :class:`InvalidInputError`."""
+    :class:`InvalidInputError`, an oversized integer
+    :class:`IntegerTooLargeError`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}")
+    return parse_json(text, path)
 
 
 def graph_from_doc(doc: dict) -> tuple[str, Multigraph]:

@@ -155,6 +155,20 @@ class TestBatchRun:
 
 
 class TestBatchCli:
+    @pytest.mark.parametrize("line", ["[1]", "5", '"key"', '{"key": [1]}'])
+    def test_record_without_a_string_key_is_corrupt(self, capsys, tmp_path, line):
+        config, out = tmp_path / "config.json", tmp_path / "runs.jsonl"
+        config.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+        out.write_text(line + "\n", encoding="utf-8")
+        code = main(["batch", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "invalid-input"
+        assert report["message"].startswith("corrupt record in ")
+        assert captured.err == ""
+        assert out.read_text(encoding="utf-8") == line + "\n"
+
     def test_end_to_end(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")

@@ -102,6 +102,21 @@ class TestNumerology:
         assert run(capsys, *argv) == expected
         assert expected[0] == 0
 
+    def test_bound_compare_computes_the_legacy_bound_once(self, capsys, monkeypatch):
+        calls = []
+        original = divgraph.brill_noether.legacy_bound
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(divgraph.cli, "legacy_bound", counting)
+        monkeypatch.setattr(divgraph.brill_noether, "legacy_bound", counting)
+        code, report = run_json(capsys, "bound-compare", "--g", "4", "--d", "3", "--r", "1")
+        assert code == 0
+        assert report["chain_ok"] is True
+        assert calls == [(2, 5, 3, 1)]
+
     def test_bound_compare_precondition_note(self, capsys):
         code, report = run_json(capsys, "bound-compare", "--g", "3", "--d", "2", "--r", "0")
         assert code == 0
@@ -426,6 +441,35 @@ class TestHugeIntegers:
         else:
             assert code == 0
             assert {key: report[key] for key in expected} == expected
+
+    BIG = "9" * 5000
+    INPUTS = {
+        "divisor-file": (("rank", "--graph", "banana(2)", "--divisor", "{doc}"),
+                         f'{{"v0": {BIG}}}'),
+        "inline-contract": (("pushforward", "--graph", "banana(2)", "--divisor", "{doc}",
+                             "--contract", f'[["v0", {BIG}]]'), "{}"),
+        "batch-record": (("batch", "--config", str(FIXTURES / "batch_small.json"),
+                          "--out", "{doc}"), f'{{"key": {BIG}}}\n'),
+    }
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @pytest.mark.parametrize("argv,text", INPUTS.values(), ids=INPUTS.keys())
+    def test_integer_literal_past_digit_limit_in_input(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main([a.format(doc=path) for a in argv])
+        finally:
+            sys.set_int_max_str_digits(old)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "integer-too-large"
+        assert captured.err == ""
+        assert path.read_text(encoding="utf-8") == text
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"

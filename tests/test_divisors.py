@@ -42,6 +42,19 @@ from conftest import (
 )
 
 
+def definitional_rank(graph, d):
+    """The largest r such that D - E is equivalent to an effective divisor
+    for every effective E of degree r, with no Riemann-Roch shortcut."""
+    n = len(graph.vertices)
+    r = -1
+    while all(
+        has_effective_rep(graph, d - Divisor(graph, tuple(map(combo.count, range(n)))))
+        for combo in itertools.combinations_with_replacement(range(n), r + 1)
+    ):
+        r += 1
+    return r
+
+
 def shuffled(graph, seed):
     """The same graph with its vertex order permuted."""
     vertices = list(graph.vertices)
@@ -275,13 +288,7 @@ class TestRank:
             if not 2 * g - 2 < d.degree <= 2 * g + 2:
                 continue
             expected = d.degree - g
-            r = -1
-            while all(
-                has_effective_rep(graph, d - Divisor(graph, tuple(map(combo.count, range(n)))))
-                for combo in itertools.combinations_with_replacement(range(n), r + 1)
-            ):
-                r += 1
-            assert r == expected
+            assert definitional_rank(graph, d) == expected
             assert rank(graph, d) == expected
             assert rank_at_least(graph, d, expected)
             assert not rank_at_least(graph, d, expected + 1)
@@ -300,6 +307,41 @@ class TestRank:
         assert rank_at_least(graph, d, 13)
         assert rank_at_least(graph, d, 14)
         assert not rank_at_least(graph, d, 15)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("name,graph", CORPUS)
+    def test_rank_matches_definition_at_every_degree(self, name, graph, k):
+        # from -1 to 2g, so both branches of rank are reached: the scan of D
+        # up to degree g - 1, and the scan of K - D above it, including the
+        # degrees in (g - 1, 2g - 2] where K - D is still effective
+        target, _ = refine(graph, k)
+        g = genus(target)
+        n = len(target.vertices)
+        rng = random.Random(37)
+        for degree in range(-1, 2 * g + 1):
+            spread = [rng.randint(-1, 2) for _ in range(n)]
+            spread[0] += degree - sum(spread)
+            for d in (vertex_divisor(target, target.vertices[-1], degree),
+                      Divisor(target, tuple(spread))):
+                assert rank(target, d) == definitional_rank(target, d), (degree, d)
+
+    def test_rank_scans_the_smaller_side(self, monkeypatch):
+        # deg D = 2g - 2 > g - 1, so rank scans K - D, of degree 0, and needs
+        # no trial of r >= 2 even where r(D) = g - 1 = 2
+        graph = random_multigraph(10, 12, 1)  # g = 3
+        k = canonical(graph)
+        d = vertex_divisor(graph, graph.vertices[0], 4)
+        expected = [definitional_rank(graph, k), definitional_rank(graph, d)]
+        original = divgraph.divisors.rank_at_least
+
+        def small_r_only(graph, divisor, r):
+            if r >= 2:
+                raise AssertionError(f"rank ran a rank_at_least trial with r = {r}")
+            return original(graph, divisor, r)
+
+        monkeypatch.setattr(divgraph.divisors, "rank_at_least", small_r_only)
+        assert [rank(graph, k), rank(graph, d)] == expected
+        assert expected[0] == 2
 
 
 class TestEnumerateClasses:
@@ -379,6 +421,13 @@ class TestRiemannRoch:
 
     def test_canonical_symmetric(self, theta222):
         assert riemann_roch_residual(theta222, canonical(theta222)) == 0
+
+    def test_residual_scans_both_sides(self, theta222, monkeypatch):
+        # the residual is an oracle only while both ranks come from the scan:
+        # through rank, which applies Riemann-Roch, it would be zero whatever
+        # rank_at_least answered
+        monkeypatch.setattr(divgraph.divisors, "rank_at_least", lambda graph, divisor, r: True)
+        assert riemann_roch_residual(theta222, Divisor.zero(theta222)) != 0
 
     @pytest.mark.parametrize("name,graph", CORPUS[:10])
     def test_random_small_divisors(self, name, graph):
