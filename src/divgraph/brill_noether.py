@@ -73,13 +73,36 @@ def bn_bound(g: int, d: int, r: int) -> Bound:
     return int(value)
 
 
+def _legacy_exponent(n: int, m: int, d: int, r: int) -> int:
+    """e = m + n^r * d, the exponent of :func:`legacy_bound`."""
+    if n < 1 or m < 0 or d < 1 or r < 0:
+        raise InvalidInputError("need n >= 1, m >= 0, d >= 1, r >= 0")
+    return m + n**r * d
+
+
 def legacy_bound(n: int, m: int, d: int, r: int) -> int:
     """The earlier combinatorial bound (m + n^r * d)! * d^(m + n^r * d) for
     a graph with n vertices and m edges."""
-    if n < 1 or m < 0 or d < 1 or r < 0:
-        raise InvalidInputError("need n >= 1, m >= 0, d >= 1, r >= 0")
-    e = m + n**r * d
+    e = _legacy_exponent(n, m, d, r)
     return factorial(e) * d**e
+
+
+def legacy_bound_min_digits(n: int, m: int, d: int, r: int) -> int:
+    """A lower bound on the number of decimal digits of
+    :func:`legacy_bound`, from bit lengths alone: no factorial is taken.
+
+    With e the exponent, log2(e! d^e) is at least L, the sum of
+    floor(log2 i) over i = 1..e plus e * floor(log2 d).  Each i of bit
+    length j adds j - 1: with B the bit length of e, the 2^(j-1) integers
+    of each length j < B add (B - 3) * 2^(B - 1) + 2 in all, and the
+    e - 2^(B-1) + 1 of length B add B - 1 each.  A number N >= 2^L has at
+    least floor(L * log10 2) + 1 digits, and log10 2 > 30102 / 100000.
+    """
+    e = _legacy_exponent(n, m, d, r)
+    top = e.bit_length()
+    low = 1 << (top - 1)
+    bits = (top - 3) * low + 2 + (top - 1) * (e - low + 1) + e * (d.bit_length() - 1)
+    return bits * 30102 // 100000 + 1
 
 
 def bound_chain_check(g: int, d: int, r: int, *, legacy: Optional[int] = None) -> bool:
@@ -164,8 +187,9 @@ def _search_one_level(
 
     A class with D(q) < r is examined but not rank-checked: it is q-reduced,
     so D - r*(q) is q-reduced too and negative at q, hence not effective,
-    and the rank is below r.  :func:`rank_at_least` would reach the same
-    verdict after reducing D again.
+    and the rank is below r; :func:`rank_at_least` would return the same
+    verdict.  The other classes go to it as the :class:`ReducedDivisor` the
+    enumeration yields, so it does not reduce them again.
     """
     q = graph.vertices[0]
     examined = 0
@@ -173,7 +197,7 @@ def _search_one_level(
         if budget is not None and examined >= budget:
             return None, examined, True
         examined += 1
-        if red.divisor.coeffs[0] >= r and rank_at_least(graph, red.divisor, r):
+        if red.divisor.coeffs[0] >= r and rank_at_least(graph, red, r):
             return red.divisor, examined, False
     return None, examined, False
 

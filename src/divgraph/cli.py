@@ -25,6 +25,7 @@ from .brill_noether import (
     find_gdr,
     gonality_search,
     legacy_bound,
+    legacy_bound_min_digits,
     rho,
 )
 from .divisors import canonical, rank, reduce, riemann_roch_residual, transport
@@ -234,15 +235,29 @@ def _cmd_bound(args) -> tuple[dict, int]:
     }, 0
 
 
+def _printable_legacy_bound(n: int, m: int, d: int, r: int) -> int:
+    """:func:`legacy_bound`, refused with :class:`IntegerTooLargeError`
+    before the factorial is taken when its digit count surely exceeds the
+    interpreter's int-to-str limit (``sys.get_int_max_str_digits``, 0 when
+    lifted), so that the report could not be printed anyway."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and legacy_bound_min_digits(n, m, d, r) > limit:
+        raise IntegerTooLargeError(
+            f"legacy_bound({n}, {m}, {d}, {r}) has more than {limit} digits, "
+            "the limit for integer string conversion"
+        )
+    return legacy_bound(n, m, d, r)
+
+
 def _cmd_bound_legacy(args) -> tuple[dict, int]:
-    value = legacy_bound(args.n, args.m, args.d, args.r)
+    value = _printable_legacy_bound(args.n, args.m, args.d, args.r)
     return {"n": args.n, "m": args.m, "d": args.d, "r": args.r, "legacy_bound": value}, 0
 
 
 def _cmd_bound_compare(args) -> tuple[dict, int]:
     report = bound_report(args.g, args.d, args.r)
     # the genus-minimal graph shape (2 vertices, g+1 edges); none for d = 0
-    legacy = legacy_bound(2, args.g + 1, args.d, args.r) if args.d >= 1 else None
+    legacy = _printable_legacy_bound(2, args.g + 1, args.d, args.r) if args.d >= 1 else None
     out = {
         "g": args.g,
         "d": args.d,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     EmptyOrFullSetError,
@@ -304,7 +304,9 @@ def _effective_rep_raw(graph: Multigraph, coeffs: list[int]) -> bool:
     return _reduce_coeffs(graph, coeffs, j, until_effective=True)[j] >= 0
 
 
-def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
+def rank_at_least(
+    graph: Multigraph, divisor: Union[Divisor, ReducedDivisor], r: int
+) -> bool:
     """Whether the Baker-Norine rank is at least r.
 
     For deg D > 2g - 2 the verdict is deg D - g >= r, as in :func:`rank`.
@@ -316,8 +318,18 @@ def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
     base the q-reduced form of D, base - r*(q) is still q-reduced, so that
     trial fails iff base(q) < r; the check ``base[qi] < r`` returns that
     verdict without reducing the trial.
+
+    ``divisor`` may also be a :class:`ReducedDivisor`, as
+    :func:`enumerate_classes` yields them.  Based at q, its coefficients
+    are the q-reduced form already and serve as base without a reduction;
+    its invariant is trusted, not re-checked.  Based at any other vertex,
+    its divisor is reduced like a plain one.
     """
     check_int(r, "r", 0)
+    if isinstance(divisor, ReducedDivisor):
+        reduced, divisor = divisor.base == graph.vertices[0], divisor.divisor
+    else:
+        reduced = False
     d = divisor.degree
     if d < r:
         return False
@@ -325,7 +337,9 @@ def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
     if d > 2 * g - 2:
         return d - g >= r
     qi = 0
-    base = _reduce_coeffs(graph, list(divisor.coeffs), qi)
+    base = list(divisor.coeffs)
+    if not reduced:
+        _reduce_coeffs(graph, base, qi)
     if base[qi] < r:
         return False
     if r == 0:
@@ -491,17 +505,42 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     chip-free chains between two different anchors, burns every anchor.
     The walk keeps a chip count per chain: a bump into a chain that already
     holds a chip is rejected without a burn.
+
+    The anchor burn sees a chain only through its chip count, never
+    through which of its vertices holds the chip.  Every position the
+    successor scan passes without accepting is left at 0, so the
+    configuration under test is at most the last one yielded, except at
+    the bumped position.  Two more bumps into a chain are thus decided
+    without a burn:
+
+    - A chain whose chip this scan lifted accepts a chip at its next vertex
+      to the left.  The result is at most the last yield with that chip
+      moved inside its chain, which the anchor burn cannot tell from the
+      last yield; so it is superstable, as superstables are closed
+      downward.
+    - A chain that refused a chip refuses it at its next vertex too, while
+      no coordinate has dropped since the refusal: the anchor burn then
+      sees the same chip counts and anchor values as at the refusal.
+
+    ``state`` counts the drops and the yields; ``refused[c]`` holds its
+    value at the last refusal by chain c, and ``lifted[c]`` its value at
+    the start of the scan that last lifted the chip of chain c.
     """
     qi = graph.index[q]
     degrees = graph.degrees
     chain_of, links, chains = _chain_decomposition(graph, qi)
     anchors = chain_of.count(0)
     chips = [0] * (chains + 1)  # chips[0] is for direct edges: always 0
+    lifted = [-1] * (chains + 1)
+    refused = [-1] * (chains + 1)
+    state = 0
     order = [i for i in range(len(graph.vertices)) if i != qi]
     order.reverse()
     coeffs = [0] * len(graph.vertices)
     while True:
         yield tuple(coeffs)
+        state += 1
+        scan = state
         for v in order:
             c = chain_of[v]
             if not c:
@@ -510,13 +549,21 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
                     links, coeffs, chips, qi, anchors
                 ):
                     break
+                if coeffs[v] > 1:
+                    state += 1
                 coeffs[v] = 0
             elif coeffs[v]:
                 coeffs[v] = chips[c] = 0
+                lifted[c] = scan
+                state += 1
             elif not chips[c]:
                 coeffs[v] = chips[c] = 1
-                if _anchors_burn(links, coeffs, chips, qi, anchors):
+                if lifted[c] == scan or (
+                    refused[c] != state
+                    and _anchors_burn(links, coeffs, chips, qi, anchors)
+                ):
                     break
+                refused[c] = state
                 coeffs[v] = chips[c] = 0
         else:
             return

@@ -27,13 +27,16 @@ from .harmonic import GraphMorphism, build_morphism
 
 
 def parse_json(text: str, source):
-    """Parse a JSON document read from ``source``.  Invalid JSON raises
+    """Parse a JSON document read from ``source``.  Invalid JSON, or JSON
+    nested deeper than the interpreter's recursion limit, raises
     :class:`InvalidInputError`; an integer literal past the interpreter's
     int-to-str digit limit raises :class:`IntegerTooLargeError`."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{source} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InvalidInputError(f"{source} is nested too deeply to parse")
     except ValueError as exc:
         # sys.get_int_max_str_digits() caps str-to-int conversion too
         raise IntegerTooLargeError(f"{source}: {exc}")

@@ -1,5 +1,6 @@
 """Brill-Noether numbers, bounds and the bounded existence search."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -29,6 +30,7 @@ from divgraph import (
     refine,
     rho,
 )
+from divgraph.brill_noether import legacy_bound_min_digits
 from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
 from conftest import path3  # noqa: F401  (fixture)
@@ -133,6 +135,14 @@ class TestLegacyBound:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             legacy_bound(0, 1, 1, 1)
+        with pytest.raises(ValueError):
+            legacy_bound_min_digits(0, 1, 1, 1)
+
+    def test_min_digits_is_a_lower_bound(self):
+        # exponents e = m + n^r d from 1 to 249, d on both sides of a power of 2
+        for n, m, d, r in itertools.product(range(1, 4), range(7), (1, 2, 3, 7, 8, 9), range(4)):
+            digits = len(str(legacy_bound(n, m, d, r)))
+            assert digits * 3 // 4 <= legacy_bound_min_digits(n, m, d, r) <= digits
 
 
 class TestBoundChain:
@@ -300,7 +310,7 @@ class TestRankCheckSkip:
         original = divgraph.brill_noether.rank_at_least
 
         def recorder(graph, divisor, r):
-            checked.append(divisor.coeffs)
+            checked.append(divisor.divisor.coeffs)
             return original(graph, divisor, r)
 
         monkeypatch.setattr(divgraph.brill_noether, "rank_at_least", recorder)

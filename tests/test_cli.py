@@ -483,3 +483,103 @@ class TestHugeIntegers:
             sys.set_int_max_str_digits(old)
         assert code == 0
         assert report["theorem_bound"] == self.BOUND
+
+    # legacy_bound(2, 15, 28, 14) is a factorial of 458,767 with millions
+    # of digits: seconds to compute, and never printable under a limit
+    HOPELESS = {
+        "bound-compare": ("bound-compare", "--g", "14", "--d", "28", "--r", "14"),
+        "bound-legacy": ("bound-legacy", "--n", "2", "--m", "15", "--d", "28", "--r", "14"),
+    }
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    @pytest.mark.parametrize("argv", HOPELESS.values(), ids=HOPELESS.keys())
+    def test_unprintable_legacy_bound_is_refused_before_the_factorial(
+        self, capsys, monkeypatch, argv
+    ):
+        def small_factorial(n):
+            assert n < 10_000, "the legacy factorial was taken"
+            return math.factorial(n)
+
+        monkeypatch.setattr(divgraph.brill_noether, "factorial", small_factorial)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(list(argv))
+        finally:
+            sys.set_int_max_str_digits(old)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "integer-too-large"
+        assert captured.err == ""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    def test_legacy_bound_at_the_digit_limit(self, capsys):
+        # 306! * 3^306 has 776 digits: printed at a limit of 776, refused
+        # (by the JSON encoder) at 775
+        argv = ("bound-legacy", "--n", "2", "--m", "300", "--d", "3", "--r", "1")
+        value = math.factorial(306) * 3**306
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            digits = len(str(value))
+            sys.set_int_max_str_digits(digits)
+            fits = run(capsys, *argv)
+            sys.set_int_max_str_digits(digits - 1)
+            code, report = run_json(capsys, *argv)
+            sys.set_int_max_str_digits(0)
+            expected = json.dumps(
+                {"n": 2, "m": 300, "d": 3, "r": 1, "legacy_bound": value}, indent=2
+            )
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert digits == 776
+        assert fits == (0, expected + "\n")
+        assert code == 2 and report["error"] == "integer-too-large"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    def test_legacy_bound_with_limit_lifted(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out = run(capsys, *self.CASES["bound-legacy"][0])
+            expected = json.dumps(
+                {"n": 2, "m": 1601, "d": 1600, "r": 1, "legacy_bound": self.LEGACY}, indent=2
+            )
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 0
+        assert out == expected + "\n"
+
+
+class TestDeepNesting:
+    """JSON nested past the recursion limit is invalid input, wherever it
+    is read."""
+
+    NESTED = "[" * 100_000
+    INPUTS = {
+        "graph-file": (("genus", "--graph", "{doc}"), NESTED),
+        "divisor-file": (("rank", "--graph", "banana(2)", "--divisor", "{doc}"), NESTED),
+        "batch-config": (("batch", "--config", "{doc}", "--out", "{out}"), NESTED),
+        "batch-record": (("batch", "--config", str(FIXTURES / "batch_small.json"),
+                          "--out", "{doc}"), NESTED + "\n"),
+        "inline-contract": (("pushforward", "--graph", "banana(2)", "--divisor", "{doc}",
+                             "--contract", NESTED), "{}"),
+    }
+
+    @pytest.mark.parametrize("argv,text", INPUTS.values(), ids=INPUTS.keys())
+    def test_nested_json_is_invalid_input(self, capsys, tmp_path, argv, text):
+        path, out = tmp_path / "doc.json", tmp_path / "out.jsonl"
+        path.write_text(text, encoding="utf-8")
+        code = main([a.format(doc=path, out=out) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "invalid-input"
+        assert captured.err == ""
+        assert path.read_text(encoding="utf-8") == text
+        assert not out.exists()

@@ -10,6 +10,7 @@ from divgraph import (
     Divisor,
     EmptyOrFullSetError,
     IndexMismatchError,
+    ReducedDivisor,
     UnknownVertexError,
     build_graph,
     canonical,
@@ -344,6 +345,56 @@ class TestRank:
         assert expected[0] == 2
 
 
+class TestRankAtLeastReducedInput:
+    """rank_at_least takes the ReducedDivisor that enumerate_classes yields;
+    based at the first vertex its coefficients are the base of the trials."""
+
+    @staticmethod
+    def cases(graph):
+        q, w = graph.vertices[0], graph.vertices[-1]
+        g = genus(graph)
+        for red in itertools.islice(enumerate_classes(graph, q, g), 40):
+            yield red
+            # the same class reduced toward another base, which the check
+            # must reduce again toward the first vertex
+            yield reduce(graph, red.divisor, w)
+        rng = random.Random(41)
+        for _ in range(4):
+            d = Divisor(graph, tuple(rng.randint(-2, 3) for _ in graph.vertices))
+            yield reduce(graph, d, q)
+            # not reduced at all: at another base nothing may be trusted
+            yield ReducedDivisor(d, w)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("name,graph", CORPUS)
+    def test_same_verdict_as_its_divisor(self, name, graph, k):
+        graph, _ = refine(graph, k)
+        for red in self.cases(graph):
+            for r in (0, 1, 2):
+                assert rank_at_least(graph, red, r) == rank_at_least(graph, red.divisor, r)
+
+    def test_first_vertex_base_is_not_reduced_again(self, monkeypatch):
+        graph, _ = refine(theta(2, 2, 2), 1)
+        red = next(r for r in enumerate_classes(graph, "v0", 4) if r.divisor.coeffs[0] >= 1)
+        bases = []
+        original = divgraph.divisors._reduce_coeffs
+
+        def recorder(graph, coeffs, q, until_effective=False):
+            if not until_effective:
+                bases.append(q)
+            return original(graph, coeffs, q, until_effective)
+
+        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", recorder)
+        verdict = rank_at_least(graph, red, 1)
+        assert bases == []
+        assert rank_at_least(graph, red.divisor, 1) == verdict
+        assert bases == [0]
+        other = reduce(graph, red.divisor, graph.vertices[-1])
+        del bases[:]
+        assert rank_at_least(graph, other, 1) == verdict
+        assert bases == [0]
+
+
 class TestEnumerateClasses:
     def test_banana_count(self):
         assert sum(1 for _ in enumerate_classes(banana(1), "v0", 0)) == 2
@@ -401,12 +452,53 @@ class TestEnumerateClasses:
         # chain vertices interleaved with the anchors in the vertex order
         ("banana(2)^(2) shuffled", shuffled(refine(banana(2), 2)[0], 7)),
         ("theta(1,1,2)^(1) shuffled", shuffled(refine(theta(1, 1, 2), 1)[0], 7)),
+        # chains of 2 and 3 vertices, for the rules that skip the burn of a
+        # chip moving left inside its chain and of a chain that refused one
+        ("banana(1)^(3) shuffled", shuffled(refine(banana(1), 3)[0], 5)),
+        ("cycle(3)^(2) shuffled", shuffled(refine(cycle(3), 2)[0], 5)),
+        ("pendant and double edge ^(2) shuffled", shuffled(
+            refine(build_graph("abc", [("a", "b"), ("b", "c", 2)]), 2)[0], 5
+        )),
+        ("banana(2)^(2) shuffled again", shuffled(refine(banana(2), 2)[0], 11)),
+        ("3-chain and double edge shuffled", shuffled(build_graph(
+            "abxyz", [("a", "b", 2), ("a", "x"), ("x", "y"), ("y", "z"), ("z", "b")]
+        ), 5)),
+        ("3-chain, 2-chain and an edge shuffled", shuffled(build_graph(
+            ["a", "b", "x1", "x2", "x3", "y1", "y2"],
+            [("a", "b"), ("a", "x1"), ("x1", "x2"), ("x2", "x3"), ("x3", "b"),
+             ("a", "y1"), ("y1", "y2"), ("y2", "b")],
+        ), 5)),
+        # a chain of 3 closing on a, and w held at b by a double edge
+        ("loop chain and double edges shuffled", shuffled(build_graph(
+            "abcxyzw",
+            [("a", "b", 2), ("b", "c"), ("c", "a"), ("a", "x"), ("x", "y"), ("y", "z"),
+             ("z", "a"), ("b", "w", 2)],
+        ), 5)),
     ]
 
     @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
     def test_matches_subset_oracle_at_every_base(self, name, graph):
         for qi, q in enumerate(graph.vertices):
             assert list(superstable_configs(graph, q)) == superstable_by_subsets(graph, qi)
+
+    # anchor burns over the full walk of random(4,6,101)^(2), counted on
+    # the walk that burned for every chain entry
+    PLAIN_WALK_BURNS = 802
+
+    def test_at_most_half_the_burns_of_the_plain_walk(self, monkeypatch):
+        graph, _ = refine(random_multigraph(4, 6, 101), 2)
+        burns = 0
+        original = divgraph.divisors._anchors_burn
+
+        def counter(*args):
+            nonlocal burns
+            burns += 1
+            return original(*args)
+
+        monkeypatch.setattr(divgraph.divisors, "_anchors_burn", counter)
+        configs = list(superstable_configs(graph, graph.vertices[0]))
+        assert len(configs) == spanning_tree_count(graph) == 270
+        assert burns <= self.PLAIN_WALK_BURNS // 2
 
     def test_long_cycle_has_no_recursion_limit(self):
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
