@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 from .divisors import (
     Divisor,
+    ReducedDivisor,
     enumerate_classes,
     rank_at_least,
     reduce,
@@ -185,20 +186,23 @@ def _search_one_level(
     """Scan the degree-d classes of one refinement level for a rank->=r
     witness.  Returns (witness or None, classes examined, budget hit).
 
-    A class with D(q) < r is examined but not rank-checked: it is q-reduced,
-    so D - r*(q) is q-reduced too and negative at q, hence not effective,
-    and the rank is below r; :func:`rank_at_least` would return the same
-    verdict.  The other classes go to it as the :class:`ReducedDivisor` the
-    enumeration yields, so it does not reduce them again.
+    The enumeration yields coefficient tuples.  A class with D(q) < r is
+    examined but not rank-checked: it is q-reduced, so D - r*(q) is
+    q-reduced too and negative at q, hence not effective, and the rank is
+    below r; :func:`rank_at_least` would return the same verdict.  Only the
+    other classes are built into a divisor, and they go to it as a
+    :class:`ReducedDivisor`, so it does not reduce them again.
     """
     q = graph.vertices[0]
     examined = 0
-    for red in enumerate_classes(graph, q, d):
+    for coeffs in enumerate_classes(graph, q, d):
         if budget is not None and examined >= budget:
             return None, examined, True
         examined += 1
-        if red.divisor.coeffs[0] >= r and rank_at_least(graph, red, r):
-            return red.divisor, examined, False
+        if coeffs[0] >= r:
+            red = ReducedDivisor(Divisor(graph, coeffs), q)
+            if rank_at_least(graph, red, r):
+                return red.divisor, examined, False
     return None, examined, False
 
 

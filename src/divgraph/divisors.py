@@ -95,8 +95,9 @@ class ReducedDivisor:
 
     Invariant: non-negative at every vertex other than ``base``, and Dhar's
     burning process from ``base`` burns the whole graph.  Produced by
-    :func:`reduce` and :func:`enumerate_classes`; each linear-equivalence
-    class has exactly one such representative.
+    :func:`reduce`, and by the search's level scan around the tuples of
+    :func:`enumerate_classes` it rank-checks; each linear-equivalence class
+    has exactly one such representative.
     """
 
     divisor: Divisor
@@ -125,8 +126,7 @@ def fire_set(graph: Multigraph, divisor: Divisor, subset: Iterable[str]) -> Divi
     of the indicator function of the set, so the result is linearly
     equivalent and of the same degree.
     """
-    if divisor.graph != graph:
-        raise IndexMismatchError("divisor is not indexed by this graph")
+    _require_graph(graph, divisor)
     names = set(subset)
     unknown = names - set(graph.vertices)
     if unknown:
@@ -241,11 +241,18 @@ def _reduce_coeffs(
                     coeffs[w] += rounds * m
 
 
+def _require_graph(graph: Multigraph, divisor: Divisor) -> None:
+    """Raise :class:`IndexMismatchError` unless the divisor is indexed by
+    the graph.  Identity is tested first, so the usual case costs no
+    comparison of vertex and edge tuples."""
+    if divisor.graph is not graph and divisor.graph != graph:
+        raise IndexMismatchError("divisor is not indexed by this graph")
+
+
 def _base_index(graph: Multigraph, divisor: Divisor, q: str) -> int:
     """The index of base vertex q, after checking that the divisor is
     indexed by the graph and q is one of its vertices."""
-    if divisor.graph != graph:
-        raise IndexMismatchError("divisor is not indexed by this graph")
+    _require_graph(graph, divisor)
     if q not in graph.index:
         raise UnknownVertexError(f"unknown base vertex {q!r}")
     return graph.index[q]
@@ -281,6 +288,7 @@ def has_effective_rep(graph: Multigraph, divisor: Divisor) -> bool:
     as soon as that vertex is non-negative, since after phase 1 it only
     gains chips; see :func:`_effective_rep_raw`.
     """
+    _require_graph(graph, divisor)
     if divisor.degree < 0:
         return False
     return _effective_rep_raw(graph, list(divisor.coeffs))
@@ -319,17 +327,19 @@ def rank_at_least(
     trial fails iff base(q) < r; the check ``base[qi] < r`` returns that
     verdict without reducing the trial.
 
-    ``divisor`` may also be a :class:`ReducedDivisor`, as
-    :func:`enumerate_classes` yields them.  Based at q, its coefficients
-    are the q-reduced form already and serve as base without a reduction;
-    its invariant is trusted, not re-checked.  Based at any other vertex,
-    its divisor is reduced like a plain one.
+    ``divisor`` may also be a :class:`ReducedDivisor`, as the search's
+    level scan passes each class of :func:`enumerate_classes` it checks.
+    Based at q, its coefficients are the q-reduced form already and serve
+    as base without a reduction; its invariant is trusted, not re-checked.
+    Based at any other vertex, its divisor is reduced like a plain one.
+    A divisor of another graph raises :class:`IndexMismatchError`.
     """
     check_int(r, "r", 0)
     if isinstance(divisor, ReducedDivisor):
         reduced, divisor = divisor.base == graph.vertices[0], divisor.divisor
     else:
         reduced = False
+    _require_graph(graph, divisor)
     d = divisor.degree
     if d < r:
         return False
@@ -366,6 +376,7 @@ def rank(graph: Multigraph, divisor: Divisor) -> int:
     degree: on K - D when deg D > g - 1, on D otherwise.  Its cost grows
     with the rank it scans through, and deg(K - D) < g - 1 there.
     """
+    _require_graph(graph, divisor)
     d = divisor.degree
     g = genus(graph)
     if d > g - 1:
@@ -479,12 +490,30 @@ def _anchors_burn(
 
 
 def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
-    """All superstable configurations with respect to q.
+    """All superstable configurations with respect to q: the classes of
+    :func:`enumerate_classes` with 0 in the q slot, in the same order.
 
-    Yields full coefficient tuples with 0 in the q slot, in lexicographic
-    order of the off-q coordinates (canonical vertex order, q skipped),
-    inside the box 0 <= a_v <= degree(v) - 1.  The number of results
-    equals the number of spanning trees.
+    Full coefficient tuples inside the box 0 <= a_v <= degree(v) - 1 away
+    from q, in lexicographic order of the off-q coordinates (canonical
+    vertex order, q skipped).  The number of results equals the number of
+    spanning trees.
+    """
+    qi = graph.index.get(q)  # enumerate_classes rejects an unknown q
+    for coeffs in enumerate_classes(graph, q, 0):
+        yield coeffs[:qi] + (0,) + coeffs[qi + 1 :]
+
+
+def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, ...]]:
+    """Every q-reduced divisor of degree d, exactly once, as its coefficient
+    tuple.
+
+    One representative per linear-equivalence class; the count equals the
+    spanning tree number of the graph, independently of d.  Away from q the
+    tuples are the superstable configurations, in lexicographic order of
+    the off-q coordinates (canonical vertex order, q skipped) inside the
+    box 0 <= a_v <= degree(v) - 1; the q slot holds d minus their chips.
+    Wrap a tuple as ``ReducedDivisor(Divisor(graph, coeffs), q)`` where a
+    divisor is needed.
 
     Superstables are closed downward (removing chips never stops a vertex
     from burning), so a prefix extends to a superstable iff the prefix
@@ -492,7 +521,8 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     found by scanning positions right to left: bump the coordinate by 1
     and accept the first bump that stays in the box and is superstable;
     otherwise reset it to 0 and move left.  The walk is a flat loop, so
-    its depth does not grow with the vertex count.
+    its depth does not grow with the vertex count.  ``spare`` counts the
+    chips left for q: a bump takes one, a reset gives back what it clears.
 
     Superstability is tested on the anchors of
     :func:`_chain_decomposition` rather than on every vertex.  A chain
@@ -503,8 +533,9 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     superstable iff every chain holds at most one chip and the burn on the
     anchor graph, whose edges are the direct anchor-anchor edges plus the
     chip-free chains between two different anchors, burns every anchor.
-    The walk keeps a chip count per chain: a bump into a chain that already
-    holds a chip is rejected without a burn.
+    The burn counts q as burnt from the start, whatever its slot holds.
+    The walk keeps a chip count per chain: a bump into a chain that
+    already holds a chip is rejected without a burn.
 
     The anchor burn sees a chain only through its chip count, never
     through which of its vertices holds the chip.  Every position the
@@ -526,6 +557,8 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     value at the last refusal by chain c, and ``lifted[c]`` its value at
     the start of the scan that last lifted the chip of chain c.
     """
+    if q not in graph.index:
+        raise UnknownVertexError(f"unknown base vertex {q!r}")
     qi = graph.index[q]
     degrees = graph.degrees
     chain_of, links, chains = _chain_decomposition(graph, qi)
@@ -537,7 +570,9 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     order = [i for i in range(len(graph.vertices)) if i != qi]
     order.reverse()
     coeffs = [0] * len(graph.vertices)
+    spare = d
     while True:
+        coeffs[qi] = spare
         yield tuple(coeffs)
         state += 1
         scan = state
@@ -548,12 +583,15 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
                 if coeffs[v] < degrees[v] and _anchors_burn(
                     links, coeffs, chips, qi, anchors
                 ):
+                    spare -= 1
                     break
                 if coeffs[v] > 1:
                     state += 1
+                spare += coeffs[v] - 1
                 coeffs[v] = 0
             elif coeffs[v]:
                 coeffs[v] = chips[c] = 0
+                spare += 1
                 lifted[c] = scan
                 state += 1
             elif not chips[c]:
@@ -562,26 +600,12 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
                     refused[c] != state
                     and _anchors_burn(links, coeffs, chips, qi, anchors)
                 ):
+                    spare -= 1
                     break
                 refused[c] = state
                 coeffs[v] = chips[c] = 0
         else:
             return
-
-
-def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[ReducedDivisor]:
-    """Every q-reduced divisor of degree d, exactly once.
-
-    One representative per linear-equivalence class; the count equals the
-    spanning tree number of the graph, independently of d.
-    """
-    if q not in graph.index:
-        raise UnknownVertexError(f"unknown base vertex {q!r}")
-    qi = graph.index[q]
-    for config in superstable_configs(graph, q):
-        coeffs = list(config)
-        coeffs[qi] = d - sum(config)
-        yield ReducedDivisor(Divisor(graph, tuple(coeffs)), q)
 
 
 def riemann_roch_residual(graph: Multigraph, divisor: Divisor) -> int:

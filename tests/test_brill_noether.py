@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import divgraph.brill_noether
+import divgraph.divisors
 from divgraph import (
     RR_SHORTCUT,
     Divisor,
@@ -343,6 +344,42 @@ class TestRankCheckSkip:
         assert len(checked) < examined
 
 
+class TestLevelScanWork:
+    """The level scan builds a Divisor only for the classes it rank-checks.
+    Witnesses and class counts are pinned from the scan that built one for
+    every class."""
+
+    SEARCHES = [
+        ("random(4,6,101)^(2)", random_multigraph(4, 6, 101), 2, 3, 1, 5,
+         {"v0": 1, "v1:v3:1:2": 1, "v0:v3:0:2": 1}),
+        ("random(5,8,1)^(1)", random_multigraph(5, 8, 1), 1, 3, 1, 213, {"v0": 2, "v1": 1}),
+    ]
+
+    @pytest.mark.parametrize("name,base,k,d,r,examined,witness", SEARCHES)
+    def test_one_divisor_per_rank_check(self, monkeypatch, name, base, k, d, r, examined, witness):
+        graph, _ = refine(base, k)
+        built = checks = 0
+        post_init = divgraph.divisors.Divisor.__post_init__
+        rank_check = divgraph.brill_noether.rank_at_least
+
+        def count_build(divisor):
+            nonlocal built
+            built += 1
+            post_init(divisor)
+
+        def count_check(graph, divisor, r):
+            nonlocal checks
+            checks += 1
+            return rank_check(graph, divisor, r)
+
+        monkeypatch.setattr(divgraph.divisors.Divisor, "__post_init__", count_build)
+        monkeypatch.setattr(divgraph.brill_noether, "rank_at_least", count_check)
+        result = find_gdr(graph, d, r)
+        assert (result.found, result.k, result.classes_examined) == (True, 0, examined)
+        assert result.witness.to_map() == witness
+        assert built == checks
+
+
 def refined(base, k, reverse):
     """G^(k), with its vertex order reversed on request: the base vertex
     q = vertices[0] is then a degree-2 subdivision vertex."""
@@ -399,8 +436,8 @@ class TestGonality:
         assert result.found and result.d == 2
         # no degree-1 divisor has rank 1: every class fails
         assert not any(
-            rank_at_least(banana(g), red.divisor, 1)
-            for red in enumerate_classes(banana(g), "v0", 1)
+            rank_at_least(banana(g), Divisor(banana(g), coeffs), 1)
+            for coeffs in enumerate_classes(banana(g), "v0", 1)
         )
 
     def test_not_found_within_budget(self):

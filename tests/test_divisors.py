@@ -345,15 +345,47 @@ class TestRank:
         assert expected[0] == 2
 
 
+class TestForeignDivisor:
+    """The rank and effectivity checks refuse a divisor indexed by another
+    graph, as reduce and is_reduced do; an equal graph built again is the
+    same graph."""
+
+    CALLS = [
+        ("rank_at_least", lambda graph, d: rank_at_least(graph, d, 1)),
+        ("rank_at_least reduced", lambda graph, d: rank_at_least(
+            graph, ReducedDivisor(d, d.graph.vertices[0]), 1)),
+        ("has_effective_rep", has_effective_rep),
+        ("rank", rank),
+    ]
+
+    @pytest.mark.parametrize("name,call", CALLS)
+    def test_another_graph_raises(self, name, call):
+        for graph, coeffs in (
+            (cycle(3), (1, 0, 0, 0, 1)),
+            (banana(3), (1, 0, 0, 0, -1)),  # the scan branch of rank
+            (banana(3), (-1, 0, 0, 0, 0)),
+            (banana(3), (3, 0, 0, 0, 0)),  # the Riemann-Roch branch of rank
+        ):
+            with pytest.raises(IndexMismatchError):
+                call(graph, Divisor(cycle(5), coeffs))
+
+    @pytest.mark.parametrize("name,call", CALLS)
+    def test_equal_graph_is_accepted(self, name, call):
+        d = Divisor(cycle(5), (1, 0, 0, 0, 1))
+        assert call(cycle(5), d) == call(d.graph, d)
+
+
 class TestRankAtLeastReducedInput:
-    """rank_at_least takes the ReducedDivisor that enumerate_classes yields;
-    based at the first vertex its coefficients are the base of the trials."""
+    """rank_at_least takes the ReducedDivisor that the level scan builds from
+    a class of enumerate_classes; based at the first vertex its coefficients
+    are the base of the trials."""
 
     @staticmethod
     def cases(graph):
         q, w = graph.vertices[0], graph.vertices[-1]
         g = genus(graph)
-        for red in itertools.islice(enumerate_classes(graph, q, g), 40):
+        for coeffs in itertools.islice(enumerate_classes(graph, q, g), 40):
+            red = ReducedDivisor(Divisor(graph, coeffs), q)
             yield red
             # the same class reduced toward another base, which the check
             # must reduce again toward the first vertex
@@ -375,7 +407,8 @@ class TestRankAtLeastReducedInput:
 
     def test_first_vertex_base_is_not_reduced_again(self, monkeypatch):
         graph, _ = refine(theta(2, 2, 2), 1)
-        red = next(r for r in enumerate_classes(graph, "v0", 4) if r.divisor.coeffs[0] >= 1)
+        coeffs = next(c for c in enumerate_classes(graph, "v0", 4) if c[0] >= 1)
+        red = ReducedDivisor(Divisor(graph, coeffs), "v0")
         bases = []
         original = divgraph.divisors._reduce_coeffs
 
@@ -407,7 +440,7 @@ class TestEnumerateClasses:
     def test_doubled_triangle_any_degree(self, theta222, d):
         classes = list(enumerate_classes(theta222, "v0", d))
         assert len(classes) == 12 == spanning_tree_count(theta222)
-        assert all(c.divisor.degree == d for c in classes)
+        assert all(sum(c) == d for c in classes)
 
     @pytest.mark.parametrize("name,graph", CORPUS)
     def test_count_equals_tree_number(self, name, graph):
@@ -417,12 +450,12 @@ class TestEnumerateClasses:
     @pytest.mark.parametrize("name,graph", CORPUS[:8])
     def test_pairwise_inequivalent_and_reduced(self, name, graph):
         q = graph.vertices[0]
-        classes = list(enumerate_classes(graph, q, 2))
-        for red in classes:
-            assert is_reduced(graph, red.divisor, q)
-            assert reduce(graph, red.divisor, q).divisor == red.divisor
+        classes = [Divisor(graph, c) for c in enumerate_classes(graph, q, 2)]
+        for divisor in classes:
+            assert is_reduced(graph, divisor, q)
+            assert reduce(graph, divisor, q).divisor == divisor
         for a, b in itertools.combinations(classes, 2):
-            assert not equivalent_oracle(graph, a.divisor, b.divisor)
+            assert not equivalent_oracle(graph, a, b)
 
     def test_matches_subset_oracle(self, theta222, path3):
         # the oracle walks the box in itertools.product (lexicographic)
@@ -434,7 +467,7 @@ class TestEnumerateClasses:
             q = graph.vertices[0]
             oracle = superstable_by_subsets(graph, 0)
             assert list(superstable_configs(graph, q)) == oracle
-            classes = [r.divisor.coeffs for r in enumerate_classes(graph, q, 0)]
+            classes = list(enumerate_classes(graph, q, 0))
             assert classes == [(-sum(ss), *ss[1:]) for ss in oracle]
 
     # anchors are q and the vertices of degree != 2; the walk tests
@@ -479,7 +512,13 @@ class TestEnumerateClasses:
     @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
     def test_matches_subset_oracle_at_every_base(self, name, graph):
         for qi, q in enumerate(graph.vertices):
-            assert list(superstable_configs(graph, q)) == superstable_by_subsets(graph, qi)
+            oracle = superstable_by_subsets(graph, qi)
+            assert list(superstable_configs(graph, q)) == oracle
+            # the walk keeps d minus the chips placed in the q slot
+            for d in (-2, 0, 3):
+                assert list(enumerate_classes(graph, q, d)) == [
+                    (*ss[:qi], d - sum(ss), *ss[qi + 1 :]) for ss in oracle
+                ]
 
     # anchor burns over the full walk of random(4,6,101)^(2), counted on
     # the walk that burned for every chain entry
