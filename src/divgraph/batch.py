@@ -17,10 +17,10 @@ from typing import Union
 
 from . import __version__
 from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
-from .divisors import rank_at_least
+from .divisors import rank
 from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, genus
-from .io import parse_json, resolve_graph
+from .io import parse_json, resolve_graph, search_result_to_doc
 
 
 def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
@@ -80,21 +80,10 @@ def run_unit(args: tuple[str, Multigraph, int, int, SearchLimits]) -> dict:
         record["rho"] = rho(g, d, r)
         record["theorem_bound"] = bn_bound(g, d, r)
         result = find_gdr(graph, d, r, limits)
-        witness_map = result.witness.to_map() if result.witness is not None else None
-        verified = (
-            result.witness is not None
-            and result.witness.degree == d
-            and rank_at_least(result.witness.graph, result.witness, r)
-        )
-        record.update(
-            found=result.found,
-            k=result.k,
-            witness=witness_map,
-            classes_examined=result.classes_examined,
-            exhausted=result.exhausted,
-            limit_hit=result.limit_hit,
-            verified=verified if result.found else None,
-        )
+        # the witness re-check of ``search``
+        w = result.witness
+        verified = (w.degree == d and rank(w.graph, w) >= r) if result.found else None
+        record.update(search_result_to_doc(result), verified=verified)
     except DivGraphError as exc:
         record.update(error=exc.slug, message=str(exc))
     record["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)

@@ -45,6 +45,7 @@ from .io import (
     load_morphism,
     parse_json,
     resolve_graph,
+    search_result_to_doc,
 )
 
 _RANDOM_NO_SEED = re.compile(r"^\s*random\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
@@ -288,15 +289,10 @@ def _cmd_search(args) -> tuple[dict, int]:
         "r": args.r,
         "rho": p,
         "theorem_bound": bn_bound(g, args.d, args.r),
-        "found": result.found,
-        "k": result.k,
-        "witness": divisor_to_doc(result.witness) if result.witness else None,
-        "classes_examined": result.classes_examined,
-        "exhausted": result.exhausted,
-        "limit_hit": result.limit_hit,
+        **search_result_to_doc(result),
     }
     if result.found:
-        # independent re-verification through the definitional rank
+        # re-check through rank; it scans K - W, not W, when deg W > g - 1
         witness_rank = rank(result.witness.graph, result.witness)
         report["witness_rank"] = witness_rank
         report["verified"] = result.witness.degree == args.d and witness_rank >= args.r

@@ -273,7 +273,10 @@ def is_reduced(graph: Multigraph, divisor: Divisor, q: str) -> bool:
 
 
 def is_equivalent(graph: Multigraph, d1: Divisor, d2: Divisor) -> bool:
-    """Linear equivalence: equal degree and identical q-reduced forms."""
+    """Linear equivalence: equal degree and identical q-reduced forms.
+    A divisor of another graph raises :class:`IndexMismatchError`."""
+    _require_graph(graph, d1)
+    _require_graph(graph, d2)
     if d1.degree != d2.degree:
         return False
     q = graph.vertices[0]
@@ -328,7 +331,8 @@ def rank_at_least(
     verdict without reducing the trial.
 
     ``divisor`` may also be a :class:`ReducedDivisor`, as the search's
-    level scan passes each class of :func:`enumerate_classes` it checks.
+    level scan passes each class of :func:`enumerate_classes` it checks,
+    and :func:`_scan_rank` the divisor it reduced.
     Based at q, its coefficients are the q-reduced form already and serve
     as base without a reduction; its invariant is trusted, not re-checked.
     Based at any other vertex, its divisor is reduced like a plain one.
@@ -386,20 +390,20 @@ def rank(graph: Multigraph, divisor: Divisor) -> int:
 
 def _scan_rank(graph: Multigraph, divisor: Divisor) -> int:
     """The Baker-Norine rank by the definition: the largest r with
-    :func:`rank_at_least`, raised one step at a time.  Two shortcuts, both
-    validated against the definition in the test suite: rank never exceeds
-    the degree, and for deg D > 2g - 2 the rank equals deg D - g exactly
-    (Riemann-Roch)."""
+    :func:`rank_at_least`, raised one step at a time from -1 on the
+    divisor's reduced form at the first vertex, so no step reduces the
+    divisor again.  Two shortcuts, both validated against the definition in
+    the test suite: rank never exceeds the degree, and for deg D > 2g - 2
+    the rank equals deg D - g exactly (Riemann-Roch)."""
     d = divisor.degree
     if d < 0:
         return -1
     g = genus(graph)
     if d > 2 * g - 2:
         return d - g
-    if not has_effective_rep(graph, divisor):
-        return -1
-    r = 0
-    while r < d and rank_at_least(graph, divisor, r + 1):
+    reduced = reduce(graph, divisor, graph.vertices[0])
+    r = -1
+    while r < d and rank_at_least(graph, reduced, r + 1):
         r += 1
     return r
 

@@ -273,8 +273,7 @@ def refine(graph: Multigraph, k: int) -> tuple[Multigraph, RefinementMap]:
     returns an isomorphic copy with the identity map.  The genus is
     invariant under refinement.
     """
-    if k < 0:
-        raise InvalidInputError("refinement index k must be >= 0")
+    check_int(k, "refinement index k", 0)
     new_vertices = list(graph.vertices)
     taken = set(new_vertices)
     new_edges: list[tuple[str, str, int]] = []

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Union
 
 from . import families
+from .brill_noether import SearchResult
 from .divisors import Divisor
 from .errors import IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, build_graph
@@ -99,6 +100,18 @@ def load_divisor(path: Union[str, Path], graph: Multigraph) -> Divisor:
 
 def divisor_to_doc(divisor: Divisor) -> dict[str, int]:
     return divisor.to_map()
+
+
+def search_result_to_doc(result: SearchResult) -> dict:
+    """The result fields of a ``search`` report and of a batch record."""
+    return {
+        "found": result.found,
+        "k": result.k,
+        "witness": divisor_to_doc(result.witness) if result.witness else None,
+        "classes_examined": result.classes_examined,
+        "exhausted": result.exhausted,
+        "limit_hit": result.limit_hit,
+    }
 
 
 def _resolve_graph_field(doc: dict, field: str, base_dir) -> tuple[str, Multigraph]:

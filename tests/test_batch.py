@@ -6,10 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from divgraph.batch import batch_run, expand_units, load_recorded_keys, unit_key
-from divgraph.brill_noether import SearchLimits
+import divgraph.batch
+from divgraph.batch import batch_run, expand_units, load_recorded_keys, run_unit, unit_key
+from divgraph.brill_noether import SearchLimits, find_gdr
 from divgraph.cli import main
 from divgraph.errors import InvalidInputError
+from divgraph.families import theta
+from divgraph.io import search_result_to_doc
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+RESULT_FIELDS = ("found", "k", "witness", "classes_examined", "exhausted", "limit_hit")
 
 BASE_CONFIG = {
     "graphs": ["banana(1)", "banana(2)", "cycle(4)"],
@@ -152,6 +158,38 @@ class TestBatchRun:
         out.write_text("not json\n")
         with pytest.raises(InvalidInputError):
             load_recorded_keys(out)
+
+
+class TestWitnessCheck:
+    """A batch record re-checks its witness as the ``search`` report does,
+    through ``rank``, and lays out the same result fields."""
+
+    def test_verified_comes_from_rank(self, monkeypatch):
+        # rank 0, one below the r = 1 asked for: the witness must fail
+        monkeypatch.setattr(divgraph.batch, "rank", lambda graph, divisor: 0)
+        record = run_unit(("theta(2,2,2)", theta(2, 2, 2), 3, 1, SearchLimits()))
+        assert record["found"] is True
+        assert record["verified"] is False
+
+    def test_records_match_search_reports(self, capsys):
+        config = json.loads((FIXTURES / "batch_small.json").read_text(encoding="utf-8"))
+        limits = SearchLimits(**config["limits"])
+        units = expand_units(config)
+        assert len(units) == 28
+        for ref, graph, d, r in units:
+            record = run_unit((ref, graph, d, r, limits))
+            code = main([
+                "search", "--graph", ref, "--d", str(d), "--r", str(r),
+                "--max-classes", str(limits.max_classes),
+            ])
+            report = json.loads(capsys.readouterr().out)
+            assert code == (0 if report["found"] else 3)
+            layout = search_result_to_doc(find_gdr(graph, d, r, limits))
+            assert list(layout) == list(RESULT_FIELDS)
+            assert {f: record[f] for f in RESULT_FIELDS} == layout, (ref, d, r)
+            assert {f: report[f] for f in RESULT_FIELDS} == layout, (ref, d, r)
+            assert record["verified"] == report.get("verified"), (ref, d, r)
+            assert record["verified"] is (True if report["found"] else None)
 
 
 class TestBatchCli:

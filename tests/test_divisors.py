@@ -344,6 +344,21 @@ class TestRank:
         assert [rank(graph, k), rank(graph, d)] == expected
         assert expected[0] == 2
 
+    def test_scan_reduces_once(self, theta222, monkeypatch):
+        # the scan reduces D at the first vertex once and steps r up on that
+        # ReducedDivisor; only effectivity trials reduce after that
+        full = []
+        original = divgraph.divisors._reduce_coeffs
+
+        def counting(graph, coeffs, q, until_effective=False):
+            if not until_effective:
+                full.append(tuple(coeffs))
+            return original(graph, coeffs, q, until_effective)
+
+        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", counting)
+        assert rank(theta222, Divisor(theta222, (1, 1, 1))) == 1
+        assert full == [(1, 1, 1)]
+
 
 class TestForeignDivisor:
     """The rank and effectivity checks refuse a divisor indexed by another
@@ -368,6 +383,12 @@ class TestForeignDivisor:
         ):
             with pytest.raises(IndexMismatchError):
                 call(graph, Divisor(cycle(5), coeffs))
+
+    def test_is_equivalent_checks_the_graph_before_the_degree(self):
+        with pytest.raises(IndexMismatchError):
+            is_equivalent(
+                cycle(3), Divisor(cycle(5), (1, 0, 0, 0, 0)), Divisor(cycle(5), (0, 0, 0, 0, 0))
+            )
 
     @pytest.mark.parametrize("name,call", CALLS)
     def test_equal_graph_is_accepted(self, name, call):

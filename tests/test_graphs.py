@@ -159,6 +159,11 @@ class TestRefine:
         assert len(iota.edge_chains) == theta222.num_edges
         assert all(len(chain) == 3 for chain in iota.edge_chains)
 
+    @pytest.mark.parametrize("k", [-1, True, 1.5])
+    def test_index_must_be_a_non_negative_integer(self, k):
+        with pytest.raises(InvalidInputError, match="refinement index k"):
+            refine(banana(1), k)
+
     def test_inserted_names_deterministic(self):
         t1, _ = refine(banana(1), 2)
         t2, _ = refine(banana(1), 2)
