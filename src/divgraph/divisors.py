@@ -330,6 +330,18 @@ def rank_at_least(
     trial fails iff base(q) < r; the check ``base[qi] < r`` returns that
     verdict without reducing the trial.
 
+    Before the trials, an anchor screen rejects most failing checks
+    without a reduction.  Take the anchors and degree-2 chains of
+    :meth:`Multigraph.chain_decomposition` at q.  A q-reduced base holds
+    at most one chip per chain, so Dhar's burn from an anchor v burns the
+    whole graph iff the burn on the anchor graph, fed the chip count of
+    each chain, reaches every anchor.  Base is then v-reduced as well, and
+    if base(v) < r the trial r*(v) leaves a v-reduced divisor negative at
+    v: the check fails.  The screen only ever answers False, so the verdict
+    is that of the trials.  q burns only once its heat, at most deg(q),
+    exceeds base(q), so the screen is skipped when base(q) >= deg(q), as in
+    most checks of r >= 3.
+
     ``divisor`` may also be a :class:`ReducedDivisor`, as the search's
     level scan passes each class of :func:`enumerate_classes` it checks,
     and :func:`_scan_rank` the divisor it reduced.
@@ -358,6 +370,17 @@ def rank_at_least(
         return False
     if r == 0:
         return True
+    if base[qi] < graph.degrees[qi]:
+        chain_of, links, chains, anchors = graph.chain_decomposition(qi)
+        starts = [v for v in anchors if base[v] < r]
+        if starts:
+            chips = [0] * (chains + 1)
+            for v, c in enumerate(chain_of):
+                if c:
+                    chips[c] += base[v]
+            for v in starts:
+                if _anchors_burn(links, base, chips, v, len(anchors)):
+                    return False
     n = len(graph.vertices)
     for combo in itertools.combinations_with_replacement(range(n), r):
         trial = list(base)
@@ -422,48 +445,6 @@ def transport(iota: RefinementMap, divisor: Divisor) -> Divisor:
     return Divisor.from_map(iota.target, values)
 
 
-def _chain_decomposition(
-    graph: Multigraph, qi: int
-) -> tuple[list[int], list[list[tuple[int, int, int]]], int]:
-    """Split the graph into anchors and chains of degree-2 vertices.
-
-    Anchors are ``qi`` and every vertex of degree other than 2; a chain is
-    a maximal path of degree-2 vertices between two anchors, or from an
-    anchor back to itself.  Returns ``(chain_of, links, chains)``:
-    ``chain_of[v]`` is the chain id of v, from 1 to ``chains``, or 0 at an
-    anchor; ``links[a]`` lists the anchor-graph edges at anchor a as
-    ``(anchor, multiplicity, chain id)``, one per direct anchor-anchor edge
-    record (chain id 0) and one unit edge per chain ending at two different
-    anchors.  The walk is iterative, so long cycles are fine.
-    """
-    n = len(graph.vertices)
-    adjacency = graph.adjacency
-    degrees = graph.degrees
-    anchor = [v == qi or degrees[v] != 2 for v in range(n)]
-    chain_of = [0] * n
-    links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    chains = 0
-    for a in range(n):
-        if not anchor[a]:
-            continue
-        for w, m in adjacency[a]:
-            if anchor[w]:
-                links[a].append((w, m, 0))
-            elif not chain_of[w]:
-                chains += 1
-                prev, v = a, w
-                while not anchor[v]:
-                    chain_of[v] = chains
-                    # two single edges, or one double edge back to prev
-                    nbrs = adjacency[v]
-                    nxt = nbrs[0][0] if nbrs[0][0] != prev else nbrs[-1][0]
-                    prev, v = v, nxt
-                if v != a:
-                    links[a].append((v, 1, chains))
-                    links[v].append((a, 1, chains))
-    return chain_of, links, chains
-
-
 def _anchors_burn(
     links: Sequence[Sequence[tuple[int, int, int]]],
     coeffs: Sequence[int],
@@ -472,8 +453,8 @@ def _anchors_burn(
     anchors: int,
 ) -> bool:
     """Whether Dhar's burn from qi on the anchor graph of
-    :func:`_chain_decomposition` burns all ``anchors`` anchors.  A chain
-    holding a chip carries no fire; every other link carries its
+    :meth:`Multigraph.chain_decomposition` burns all ``anchors`` anchors.
+    A chain holding a chip carries no fire; every other link carries its
     multiplicity."""
     # an anchor has burnt once its heat exceeds its coefficient
     heat = [0] * len(coeffs)
@@ -529,9 +510,9 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
     chips left for q: a bump takes one, a reset gives back what it clears.
 
     Superstability is tested on the anchors of
-    :func:`_chain_decomposition` rather than on every vertex.  A chain
-    vertex has degree 2, so it holds 0 or 1 chip.  In Dhar's burn a chain
-    with no chip passes fire from either end to the other, like one edge;
+    :meth:`Multigraph.chain_decomposition` rather than on every vertex.  A
+    chain vertex has degree 2, so it holds 0 or 1 chip.  In Dhar's burn a
+    chain with no chip passes fire from either end to the other, like one edge;
     a chain with one chip passes none, and burns once both its ends have
     burnt; a chain with two chips never burns.  So a configuration is
     superstable iff every chain holds at most one chip and the burn on the
@@ -565,8 +546,8 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
         raise UnknownVertexError(f"unknown base vertex {q!r}")
     qi = graph.index[q]
     degrees = graph.degrees
-    chain_of, links, chains = _chain_decomposition(graph, qi)
-    anchors = chain_of.count(0)
+    chain_of, links, chains, anchor_list = graph.chain_decomposition(qi)
+    anchors = len(anchor_list)
     chips = [0] * (chains + 1)  # chips[0] is for direct edges: always 0
     lifted = [-1] * (chains + 1)
     refused = [-1] * (chains + 1)

@@ -6,15 +6,16 @@ that depend on indexing (Laplacians, enumeration order, inserted-vertex
 names) are reproducible.  Edges are stored multiplicity-compressed.
 
 All types are immutable after construction; derived data (adjacency,
-degrees, BFS layers) is cached lazily on the instance and never mutates
-the defining fields, so graphs can be shared read-only across workers.
+degrees, BFS layers, chain decompositions) is cached lazily on the
+instance and never mutates the defining fields, so graphs can be shared
+read-only across workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -135,6 +136,67 @@ class Multigraph:
                 frontier = nxt
             cache[root] = tuple(dist)
         return cache[root]
+
+    @cached_property
+    def _chain_cache(self) -> dict[int, "ChainDecomposition"]:
+        return {}
+
+    def chain_decomposition(self, root: int) -> "ChainDecomposition":
+        """Split the graph into anchors and chains of degree-2 vertices.
+
+        Anchors are vertex index ``root`` and every vertex of degree other
+        than 2; a chain is a maximal path of degree-2 vertices between two
+        anchors, or from an anchor back to itself.  ``chain_of[v]`` is the
+        chain id of v, from 1 to ``chains``, or 0 at an anchor; ``links[a]``
+        lists the anchor-graph edges at anchor a as ``(anchor,
+        multiplicity, chain id)``, one per direct anchor-anchor edge record
+        (chain id 0) and one unit edge per chain ending at two different
+        anchors; ``anchors`` lists the anchor indices.  The walk is
+        iterative, so long cycles are fine.
+        """
+        cache = self._chain_cache
+        if root not in cache:
+            n = len(self.vertices)
+            adjacency = self.adjacency
+            degrees = self.degrees
+            anchor = [v == root or degrees[v] != 2 for v in range(n)]
+            chain_of = [0] * n
+            links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+            chains = 0
+            for a in range(n):
+                if not anchor[a]:
+                    continue
+                for w, m in adjacency[a]:
+                    if anchor[w]:
+                        links[a].append((w, m, 0))
+                    elif not chain_of[w]:
+                        chains += 1
+                        prev, v = a, w
+                        while not anchor[v]:
+                            chain_of[v] = chains
+                            # two single edges, or one double edge back to prev
+                            nbrs = adjacency[v]
+                            nxt = nbrs[0][0] if nbrs[0][0] != prev else nbrs[-1][0]
+                            prev, v = v, nxt
+                        if v != a:
+                            links[a].append((v, 1, chains))
+                            links[v].append((a, 1, chains))
+            cache[root] = ChainDecomposition(
+                tuple(chain_of),
+                tuple(tuple(ls) for ls in links),
+                chains,
+                tuple(v for v in range(n) if anchor[v]),
+            )
+        return cache[root]
+
+
+class ChainDecomposition(NamedTuple):
+    """The anchors and degree-2 chains of :meth:`Multigraph.chain_decomposition`."""
+
+    chain_of: tuple[int, ...]
+    links: tuple[tuple[tuple[int, int, int], ...], ...]
+    chains: int
+    anchors: tuple[int, ...]
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigraph:

@@ -87,12 +87,15 @@ def build_morphism(
     ``edge_map`` pairs source edge references with target edge references;
     an edge reference is (u, v) or (u, v, copy) with copy defaulting to 0.
     ``local_degree`` defaults to 1 wherever omitted; ``marked_legs``
-    defaults to 0.  Structural failures (unmapped or repeated edges,
-    endpoints that do not track the vertex map) raise; harmonicity itself
-    is judged by :func:`check_harmonic`.
+    defaults to 0.  Only None takes the default; any other value that is
+    not an object raises, falsy or not.  Structural failures (unmapped or
+    repeated edges, endpoints that do not track the vertex map) raise;
+    harmonicity itself is judged by :func:`check_harmonic`.
     """
     check_type(vertex_map, "object", "vertex_map")
-    local_degree = check_type(local_degree or {}, "object", "local_degree")
+    local_degree = check_type(
+        {} if local_degree is None else local_degree, "object", "local_degree"
+    )
     vmap: list[int] = []
     for v in source.vertices:
         if v not in vertex_map:
@@ -144,7 +147,9 @@ def build_morphism(
         )
 
     legs = ()
-    marked_legs = check_type(marked_legs or {}, "object", "marked_legs")
+    marked_legs = check_type(
+        {} if marked_legs is None else marked_legs, "object", "marked_legs"
+    )
     if marked_legs:
         unknown_legs = set(marked_legs) - set(source.vertices)
         if unknown_legs:

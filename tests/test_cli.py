@@ -319,6 +319,33 @@ class TestExitCodesAndStability:
         assert code == 2
         assert report["error"] == "invalid-input"
 
+    BANANA_IDENTITY = {
+        "source": "banana(1)",
+        "target": "banana(1)",
+        "vertex_map": {"v0": "v0", "v1": "v1"},
+        "edge_map": [[["v0", "v1", 0], ["v0", "v1", 0]], [["v0", "v1", 1], ["v0", "v1", 1]]],
+    }
+
+    @pytest.mark.parametrize("field", ["local_degree", "marked_legs"])
+    @pytest.mark.parametrize("value", [[], False, 0, ""], ids=["[]", "false", "0", '""'])
+    def test_falsy_wrong_type_is_not_an_empty_map(self, capsys, tmp_path, field, value):
+        # only an absent field takes the default; a falsy array, boolean,
+        # number or string is as wrong a type as a non-empty one
+        path = tmp_path / "f.morphism"
+        path.write_text(json.dumps({**self.BANANA_IDENTITY, field: value}), encoding="utf-8")
+        code, report = run_json(capsys, "harmonic-check", "--morphism", str(path))
+        assert code == 2
+        assert report["error"] == "invalid-input"
+
+    def test_null_field_takes_the_default(self, capsys, tmp_path):
+        # the identity is harmonic, so only the field values above fail it
+        path = tmp_path / "f.morphism"
+        doc = {**self.BANANA_IDENTITY, "local_degree": None, "marked_legs": None}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report = run_json(capsys, "harmonic-check", "--morphism", str(path))
+        assert code == 0
+        assert report["harmonic"] is True
+
     MORPHISM = json.loads((FIXTURES / "path_onto_edge.morphism").read_text(encoding="utf-8"))
     PUSHFORWARD = ("pushforward", "--graph", "banana(2)", "--divisor", "{div}", "--contract")
     MALFORMED = {

@@ -31,6 +31,7 @@ from divgraph import (
     refine,
     vertex_divisor,
 )
+from divgraph.brill_noether import _search_one_level
 from divgraph.families import banana, cycle, random_multigraph, theta
 
 from conftest import (
@@ -43,12 +44,13 @@ from conftest import (
 )
 
 
-def definitional_rank(graph, d):
+def definitional_rank(graph, d, top=None):
     """The largest r such that D - E is equivalent to an effective divisor
-    for every effective E of degree r, with no Riemann-Roch shortcut."""
+    for every effective E of degree r, with no Riemann-Roch shortcut; at
+    most ``top`` when given."""
     n = len(graph.vertices)
     r = -1
-    while all(
+    while (top is None or r < top) and all(
         has_effective_rep(graph, d - Divisor(graph, tuple(map(combo.count, range(n)))))
         for combo in itertools.combinations_with_replacement(range(n), r + 1)
     ):
@@ -564,6 +566,116 @@ class TestEnumerateClasses:
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
         zero = (0,) * 1100
         assert first == [zero, zero[:1099] + (1,), zero[:1098] + (1, 0)]
+
+
+class TestAnchorScreen:
+    """Before its trials, rank_at_least rejects a class that is also
+    v-reduced at an anchor v with D(v) < r.  The screen answers only False,
+    so every verdict must stay that of the definition."""
+
+    GRAPHS = [
+        (f"{name}^({k})", refine(graph, k)[0])
+        for name, graph in CORPUS
+        if genus(graph) >= 2
+        for k in (0, 1, 2)
+    ]
+    # a shuffled order can put a degree-2 vertex first, as q
+    GRAPHS += [(f"{name} shuffled", shuffled(graph, 3)) for name, graph in GRAPHS]
+    # among them a hanging cycle (a closed chain) and a double edge
+    GRAPHS += [
+        (name, graph) for name, graph in TestEnumerateClasses.CHAIN_GRAPHS if genus(graph) >= 2
+    ]
+    SAMPLE = 25
+
+    @pytest.mark.parametrize("name,graph", GRAPHS)
+    def test_matches_definition(self, name, graph):
+        # every q-reduced class of degree 1..2g-2 with D(q) >= 1, or a
+        # seeded sample of them; above 2g - 2 no check reaches the screen
+        q = graph.vertices[0]
+        classes = [
+            coeffs
+            for d in range(1, 2 * genus(graph) - 1)
+            for coeffs in enumerate_classes(graph, q, d)
+            if coeffs[0] >= 1
+        ]
+        if len(classes) > self.SAMPLE:
+            classes = random.Random(43).sample(classes, self.SAMPLE)
+        for coeffs in classes:
+            red = ReducedDivisor(Divisor(graph, coeffs), q)
+            expected = definitional_rank(graph, red.divisor, top=3)
+            for r in range(1, min(3, coeffs[0]) + 1):
+                assert rank_at_least(graph, red, r) == (expected >= r), (coeffs, r)
+
+    # the level scan of random(5,8,1)^(2) at d = 3, r = 1: 1,261 classes and
+    # 133 rank checks, which ran 183 q-reductions before the screen
+    SCAN_REDUCTIONS_UNSCREENED = 183
+    SCAN_REDUCTIONS = 27
+
+    @staticmethod
+    def g2():
+        return refine(random_multigraph(5, 8, 1), 2)[0]
+
+    def test_scan_reductions(self, monkeypatch):
+        calls = 0
+        original = divgraph.divisors._reduce_coeffs
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", counting)
+        witness, examined, _ = _search_one_level(self.g2(), 3, 1, None)
+        assert examined == 1261 and witness.to_map() == {"v0": 2, "v1": 1}
+        assert calls == self.SCAN_REDUCTIONS < self.SCAN_REDUCTIONS_UNSCREENED
+
+    def test_rejected_class_runs_no_reduction(self, monkeypatch):
+        graph = self.g2()
+        q = graph.vertices[0]
+        events = []
+        burn, reduce_coeffs = divgraph.divisors._anchors_burn, divgraph.divisors._reduce_coeffs
+
+        def burn_recorder(*args):
+            events.append(burn(*args))
+            return events[-1]
+
+        def reduce_recorder(*args, **kwargs):
+            events.append("reduce")
+            return reduce_coeffs(*args, **kwargs)
+
+        monkeypatch.setattr(divgraph.divisors, "_anchors_burn", burn_recorder)
+        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", reduce_recorder)
+        checks = rejected = 0
+        for coeffs in enumerate_classes(graph, q, 3):
+            if coeffs[0] < 1:
+                continue
+            del events[:]
+            verdict = rank_at_least(graph, ReducedDivisor(Divisor(graph, coeffs), q), 1)
+            checks += 1
+            if True in events:
+                # the screen's burn reached every anchor: the check ends there
+                assert events[-1] is True and "reduce" not in events and not verdict
+                rejected += 1
+        assert (checks, rejected) == (150, 143)
+
+    def test_no_anchor_burn_once_q_cannot_burn(self, monkeypatch):
+        # D(q) >= deg(q): no burn from another anchor can burn q
+        graph = self.g2()
+        q, deg_q = graph.vertices[0], graph.degrees[0]
+
+        def no_burn(*args):
+            raise AssertionError("rank_at_least ran an anchor burn")
+
+        classes = [
+            ReducedDivisor(Divisor(graph, coeffs), q)
+            for d in range(deg_q, 2 * genus(graph) - 1)
+            for coeffs in itertools.islice(enumerate_classes(graph, q, d), 30)
+            if coeffs[0] >= deg_q
+        ]
+        expected = [rank_at_least(graph, red, 1) for red in classes]
+        monkeypatch.setattr(divgraph.divisors, "_anchors_burn", no_burn)
+        assert [rank_at_least(graph, red, 1) for red in classes] == expected
+        assert len(classes) == 9
 
 
 class TestRiemannRoch:

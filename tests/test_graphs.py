@@ -171,6 +171,32 @@ class TestRefine:
         assert t1.edges == t2.edges
 
 
+class TestChainDecomposition:
+    def test_hanging_cycle_and_chain(self):
+        # a triangle a-b-c, a cycle a-x-y-a hanging off a, and the chain
+        # b-z-w-c parallel to the edge bc
+        graph = build_graph(
+            "abcxyzw",
+            [("a", "b"), ("b", "c"), ("c", "a"), ("a", "x"), ("x", "y"), ("y", "a"),
+             ("b", "z"), ("z", "w"), ("w", "c")],
+        )
+        chain_of, links, chains, anchors = graph.chain_decomposition(0)
+        assert anchors == (0, 1, 2)
+        assert chains == 2
+        # the closed chain x-y gets an id but no anchor-graph link
+        assert chain_of[3] == chain_of[4] != chain_of[5] == chain_of[6] != 0
+        assert sorted(links[0]) == [(1, 1, 0), (2, 1, 0)]
+        assert sorted(links[1]) == [(0, 1, 0), (2, 1, 0), (2, 1, chain_of[5])]
+
+    def test_root_is_an_anchor_and_the_result_is_cached(self):
+        graph, _ = refine(banana(2), 1)
+        chain_vertex = graph.index["v0:v1:0:1"]
+        assert graph.degrees[chain_vertex] == 2
+        assert chain_vertex not in graph.chain_decomposition(0).anchors
+        assert chain_vertex in graph.chain_decomposition(chain_vertex).anchors
+        assert graph.chain_decomposition(0) is graph.chain_decomposition(0)
+
+
 class TestTransport:
     def test_identity(self, theta222):
         _, iota = refine(theta222, 0)
