@@ -10,7 +10,6 @@ time field.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Union
@@ -20,7 +19,7 @@ from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
 from .divisors import rank
 from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, genus
-from .io import parse_json, resolve_graph, search_result_to_doc
+from .io import dump_json, parse_json, resolve_graph, search_result_to_doc
 
 
 def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
@@ -55,11 +54,11 @@ def expand_units(config: dict, base_dir=None) -> list[tuple[str, Multigraph, int
         pairs = [(d, r) for r in range(r_max + 1) for d in range(d_max + 1)]
     units = []
     for ref in graphs:
-        _, graph = resolve_graph(str(ref), base_dir)
+        _, graph = resolve_graph(check_type(ref, "string", "batch config graph"), base_dir)
         g = genus(graph)
         for d, r in pairs:
             if rho(g, d, r) >= 0:
-                units.append((str(ref), graph, d, r))
+                units.append((ref, graph, d, r))
     return units
 
 
@@ -99,12 +98,12 @@ def _encode_record(record: dict) -> tuple[str, dict]:
     ``integer-too-large`` error record with the same key.
     """
     try:
-        return json.dumps(record, sort_keys=True), record
-    except ValueError as exc:
+        return dump_json(record, sort_keys=True), record
+    except IntegerTooLargeError as exc:
         kept = ("key", "graph", "genus", "d", "r", "elapsed_ms", "engine_version")
         record = {name: record[name] for name in kept}
-        record.update(error=IntegerTooLargeError.slug, message=str(exc))
-        return json.dumps(record, sort_keys=True), record
+        record.update(error=exc.slug, message=str(exc))
+        return dump_json(record, sort_keys=True), record
 
 
 def load_recorded_keys(out_path: Union[str, Path]) -> set[str]:

@@ -39,6 +39,7 @@ from .graphs import genus, laplacian, refine, spanning_tree_count
 from .harmonic import check_harmonic, contract, pullback, pushforward_contraction, riemann_hurwitz_check
 from .io import (
     divisor_to_doc,
+    dump_json,
     graph_to_doc,
     load_divisor,
     load_json,
@@ -383,11 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         report, code = args.run(args)
-        try:
-            text = json.dumps(report, indent=2, sort_keys=False)
-        except ValueError as exc:
-            # sys.get_int_max_str_digits() caps int-to-str conversion
-            raise IntegerTooLargeError(str(exc)) from exc
+        text = dump_json(report, indent=2)
     except DivGraphError as exc:
         print(json.dumps({"error": exc.slug, "message": str(exc)}, sort_keys=True))
         return 2

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import (
-    EmptyOrFullSetError,
-    IndexMismatchError,
-    UnknownVertexError,
-    check_int,
-)
+from .errors import EmptyOrFullSetError, IndexMismatchError, check_int
 from .graphs import Multigraph, RefinementMap, genus
 
 
@@ -44,11 +39,15 @@ class Divisor:
 
     @classmethod
     def from_map(cls, graph: Multigraph, values: Mapping[str, int]) -> "Divisor":
-        """Build from a vertex-name map; omitted vertices get 0."""
-        unknown = set(values) - set(graph.vertices)
-        if unknown:
-            raise UnknownVertexError(f"divisor names unknown vertices: {sorted(unknown)}")
-        return cls(graph, tuple(int(values.get(v, 0)) for v in graph.vertices))
+        """Build from a vertex-name map; omitted vertices get 0.  A name
+        goes through :meth:`Multigraph.vertex_index`, a value through
+        :func:`check_int`."""
+        coeffs = [0] * len(graph.vertices)
+        for v, c in values.items():
+            coeffs[graph.vertex_index(v, "divisor vertex")] = check_int(
+                c, f"divisor coefficient for {v!r}"
+            )
+        return cls(graph, tuple(coeffs))
 
     @classmethod
     def zero(cls, graph: Multigraph) -> "Divisor":
@@ -63,18 +62,14 @@ class Divisor:
         return sum(self.coeffs)
 
     def at(self, v: str) -> int:
-        return self.coeffs[self.graph.index[v]]
-
-    def _require_same_graph(self, other: "Divisor") -> None:
-        if self.graph != other.graph:
-            raise IndexMismatchError("divisors live on different graphs")
+        return self.coeffs[self.graph.vertex_index(v)]
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        self._require_same_graph(other)
+        _require_graph(self.graph, other)
         return Divisor(self.graph, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        self._require_same_graph(other)
+        _require_graph(self.graph, other)
         return Divisor(self.graph, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Divisor":
@@ -106,10 +101,8 @@ class ReducedDivisor:
 
 def vertex_divisor(graph: Multigraph, v: str, mult: int = 1) -> Divisor:
     """The divisor mult*(v)."""
-    if v not in graph.index:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
     coeffs = [0] * len(graph.vertices)
-    coeffs[graph.index[v]] = mult
+    coeffs[graph.vertex_index(v)] = mult
     return Divisor(graph, tuple(coeffs))
 
 
@@ -127,15 +120,11 @@ def fire_set(graph: Multigraph, divisor: Divisor, subset: Iterable[str]) -> Divi
     equivalent and of the same degree.
     """
     _require_graph(graph, divisor)
-    names = set(subset)
-    unknown = names - set(graph.vertices)
-    if unknown:
-        raise UnknownVertexError(f"unknown vertices in firing set: {sorted(unknown)}")
-    if not names or len(names) == len(graph.vertices):
-        raise EmptyOrFullSetError("firing set must be a nonempty proper vertex subset")
     in_set = [False] * len(graph.vertices)
-    for v in names:
-        in_set[graph.index[v]] = True
+    for v in subset:
+        in_set[graph.vertex_index(v, "firing-set vertex")] = True
+    if all(in_set) or not any(in_set):
+        raise EmptyOrFullSetError("firing set must be a nonempty proper vertex subset")
     coeffs = list(divisor.coeffs)
     for i, inside in enumerate(in_set):
         if not inside:
@@ -150,10 +139,9 @@ def fire_set(graph: Multigraph, divisor: Divisor, subset: Iterable[str]) -> Divi
 def principal_divisor(graph: Multigraph, potential: Mapping[str, int]) -> Divisor:
     """The divisor of an integer function f: coefficient at v is the sum of
     f(v) - f(w) over edges vw.  Always degree 0."""
-    f = [int(potential.get(v, 0)) for v in graph.vertices]
-    unknown = set(potential) - set(graph.vertices)
-    if unknown:
-        raise UnknownVertexError(f"potential names unknown vertices: {sorted(unknown)}")
+    f = [0] * len(graph.vertices)
+    for v, value in potential.items():
+        f[graph.vertex_index(v, "potential vertex")] = check_int(value, f"potential at {v!r}")
     coeffs = [0] * len(graph.vertices)
     for i in range(len(graph.vertices)):
         coeffs[i] = sum(m * (f[i] - f[j]) for j, m in graph.adjacency[i])
@@ -253,9 +241,7 @@ def _base_index(graph: Multigraph, divisor: Divisor, q: str) -> int:
     """The index of base vertex q, after checking that the divisor is
     indexed by the graph and q is one of its vertices."""
     _require_graph(graph, divisor)
-    if q not in graph.index:
-        raise UnknownVertexError(f"unknown base vertex {q!r}")
-    return graph.index[q]
+    return graph.vertex_index(q, "base vertex")
 
 
 def reduce(graph: Multigraph, divisor: Divisor, q: str) -> ReducedDivisor:
@@ -435,8 +421,7 @@ def transport(iota: RefinementMap, divisor: Divisor) -> Divisor:
     """Push a divisor through a refinement's vertex inclusion: coefficients
     are copied onto the embedded vertices, inserted vertices get 0.
     Degree-preserving and injective."""
-    if divisor.graph != iota.source:
-        raise IndexMismatchError("divisor is not indexed by the refinement's source")
+    _require_graph(iota.source, divisor)
     values = {
         iota.vertex_embedding[i]: c
         for i, c in enumerate(divisor.coeffs)
@@ -483,7 +468,7 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     vertex order, q skipped).  The number of results equals the number of
     spanning trees.
     """
-    qi = graph.index.get(q)  # enumerate_classes rejects an unknown q
+    qi = graph.vertex_index(q, "base vertex")
     for coeffs in enumerate_classes(graph, q, 0):
         yield coeffs[:qi] + (0,) + coeffs[qi + 1 :]
 
@@ -542,9 +527,7 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
     value at the last refusal by chain c, and ``lifted[c]`` its value at
     the start of the scan that last lifted the chip of chain c.
     """
-    if q not in graph.index:
-        raise UnknownVertexError(f"unknown base vertex {q!r}")
-    qi = graph.index[q]
+    qi = graph.vertex_index(q, "base vertex")
     degrees = graph.degrees
     chain_of, links, chains, anchor_list = graph.chain_decomposition(qi)
     anchors = len(anchor_list)

@@ -67,10 +67,6 @@ class NotHarmonicError(DivGraphError):
     slug = "not-harmonic"
 
 
-class ClassMismatchError(DivGraphError):
-    slug = "class-mismatch"
-
-
 class IntegerTooLargeError(DivGraphError):
     """An integer in a report, or an integer literal in JSON input, exceeds
     the interpreter's int-to-str digit limit (``sys.get_int_max_str_digits``)."""

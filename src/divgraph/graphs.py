@@ -54,6 +54,15 @@ class Multigraph:
     def index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.vertices)}
 
+    def vertex_index(self, name: str, what: str = "vertex") -> int:
+        """The index of vertex ``name``, named ``what`` in the errors: a name
+        that is not a string raises :class:`InvalidInputError` (so ``1``
+        never matches ``"1"``), an unknown one :class:`UnknownVertexError`."""
+        i = self.index.get(check_type(name, "string", what))
+        if i is None:
+            raise UnknownVertexError(f"unknown {what} {name!r}")
+        return i
+
     @cached_property
     def num_edges(self) -> int:
         """Edge count with multiplicity."""
@@ -102,7 +111,10 @@ class Multigraph:
 
     def edge_index(self, u: str, v: str, copy: int = 0) -> int:
         """Position of the ``copy``-th parallel edge between u and v in
-        :attr:`edge_list`.  Accepts either endpoint order."""
+        :attr:`edge_list`.  Accepts either endpoint order; both names go
+        through :meth:`vertex_index`."""
+        self.vertex_index(u, "edge endpoint")
+        self.vertex_index(v, "edge endpoint")
         record = self._edge_record(u, v)
         if record is None:
             raise UnknownVertexError(f"no edge between {u!r} and {v!r}")

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .divisors import Divisor
+from .divisors import Divisor, _require_graph
 from .errors import (
-    ClassMismatchError,
     EndpointMismatchError,
-    IndexMismatchError,
     InvalidInputError,
     LoopEdgeError,
     NotHarmonicError,
@@ -88,31 +86,26 @@ def build_morphism(
     an edge reference is (u, v) or (u, v, copy) with copy defaulting to 0.
     ``local_degree`` defaults to 1 wherever omitted; ``marked_legs``
     defaults to 0.  Only None takes the default; any other value that is
-    not an object raises, falsy or not.  Structural failures (unmapped or
-    repeated edges, endpoints that do not track the vertex map) raise;
-    harmonicity itself is judged by :func:`check_harmonic`.
+    not an object raises, falsy or not.  Every vertex name, in the maps and
+    in the edge references, goes through :meth:`Multigraph.vertex_index`.
+    Structural failures (unmapped or repeated edges, endpoints that do not
+    track the vertex map) raise; harmonicity itself is judged by
+    :func:`check_harmonic`.
     """
-    check_type(vertex_map, "object", "vertex_map")
-    local_degree = check_type(
-        {} if local_degree is None else local_degree, "object", "local_degree"
-    )
-    vmap: list[int] = []
-    for v in source.vertices:
-        if v not in vertex_map:
-            raise UnknownVertexError(f"vertex_map does not cover source vertex {v!r}")
-        w = check_type(vertex_map[v], "string", f"vertex_map image of {v!r}")
-        if w not in target.index:
-            raise UnknownVertexError(f"vertex_map sends {v!r} to unknown vertex {w!r}")
-        vmap.append(target.index[w])
-    extra = set(vertex_map) - set(source.vertices)
-    if extra:
-        raise UnknownVertexError(f"vertex_map names unknown source vertices: {sorted(extra)}")
+    vmap = [-1] * len(source.vertices)
+    for v, w in check_type(vertex_map, "object", "vertex_map").items():
+        vmap[source.vertex_index(v, "vertex_map key")] = target.vertex_index(
+            w, "vertex_map image"
+        )
+    if -1 in vmap:
+        v = source.vertices[vmap.index(-1)]
+        raise UnknownVertexError(f"vertex_map does not cover source vertex {v!r}")
 
     def edge_ref(graph: Multigraph, ref: Sequence) -> int:
         if not isinstance(ref, (list, tuple)) or len(ref) not in (2, 3):
             raise InvalidInputError(f"edge reference {ref!r} is not (u, v[, copy])")
         u, v, copy = ref if len(ref) == 3 else (*ref, 0)
-        return graph.edge_index(str(u), str(v), check_int(copy, "edge copy index"))
+        return graph.edge_index(u, v, check_int(copy, "edge copy index"))
 
     emap: dict[int, int] = {}
     for entry in check_type(edge_map, "array", "edge_map"):
@@ -137,28 +130,18 @@ def build_morphism(
                 f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {sorted(images)}"
             )
 
-    degrees = []
-    for v in source.vertices:
-        degrees.append(check_int(local_degree.get(v, 1), f"local degree at {v!r}", 1))
-    unknown_deg = set(local_degree) - set(source.vertices)
-    if unknown_deg:
-        raise UnknownVertexError(
-            f"local_degree names unknown vertices: {sorted(unknown_deg)}"
-        )
-
-    legs = ()
-    marked_legs = check_type(
-        {} if marked_legs is None else marked_legs, "object", "marked_legs"
-    )
-    if marked_legs:
-        unknown_legs = set(marked_legs) - set(source.vertices)
-        if unknown_legs:
-            raise UnknownVertexError(
-                f"marked_legs names unknown vertices: {sorted(unknown_legs)}"
+    degrees = [1] * len(source.vertices)
+    if local_degree is not None:
+        for v, m in check_type(local_degree, "object", "local_degree").items():
+            degrees[source.vertex_index(v, "local_degree key")] = check_int(
+                m, f"local degree at {v!r}", 1
             )
-        for v, n in marked_legs.items():
-            check_int(n, f"marked leg count at {v!r}", 0)
-        legs = tuple(marked_legs.get(v, 0) for v in source.vertices)
+    legs = [0] * len(source.vertices)
+    if marked_legs is not None:
+        for v, n in check_type(marked_legs, "object", "marked_legs").items():
+            legs[source.vertex_index(v, "marked_legs key")] = check_int(
+                n, f"marked leg count at {v!r}", 0
+            )
 
     return GraphMorphism(
         source=source,
@@ -166,7 +149,7 @@ def build_morphism(
         vertex_map=tuple(vmap),
         edge_map=tuple(emap[e] for e in range(len(source.edge_list))),
         local_degree=tuple(degrees),
-        marked_legs=legs,
+        marked_legs=tuple(legs) if marked_legs else (),
     )
 
 
@@ -276,8 +259,7 @@ def riemann_hurwitz_check(f: GraphMorphism) -> RHReport:
 def pullback(f: GraphMorphism, divisor: Divisor) -> Divisor:
     """Pull a target divisor back: (f*D)(v) = m(v) * D(f(v)).  The degree
     multiplies by the global degree of the morphism."""
-    if divisor.graph != f.target:
-        raise IndexMismatchError("divisor is not on the morphism's target")
+    _require_graph(f.target, divisor)
     if not f.report.harmonic:
         raise NotHarmonicError("pullback requires a harmonic morphism")
     coeffs = tuple(
@@ -320,13 +302,12 @@ def contract(graph: Multigraph, pairs: Sequence[Sequence[str]]) -> Contraction:
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInputError(f"contraction pair {pair!r} is not (u, v)")
-        u, v = str(pair[0]), str(pair[1])
-        if u not in graph.index or v not in graph.index:
-            raise UnknownVertexError(f"contraction pair ({u},{v}) names unknown vertices")
+        u, v = pair
+        ru = find(graph.vertex_index(u, "contraction endpoint"))
+        rv = find(graph.vertex_index(v, "contraction endpoint"))
         if graph.multiplicity(u, v) == 0:
             raise UnknownVertexError(f"no edge bond between {u!r} and {v!r} to contract")
         norm_pairs.append((u, v))
-        ru, rv = find(graph.index[u]), find(graph.index[v])
         if ru != rv:
             # keep the smaller canonical index as representative
             lo, hi = min(ru, rv), max(ru, rv)
@@ -366,8 +347,7 @@ def contract(graph: Multigraph, pairs: Sequence[Sequence[str]]) -> Contraction:
 def pushforward_contraction(pi: Contraction, divisor: Divisor) -> Divisor:
     """Push a divisor through a contraction: each target coefficient is the
     sum over its source class.  Degree-preserving and additive."""
-    if divisor.graph != pi.source:
-        raise ClassMismatchError("divisor is not on the contraction's source")
+    _require_graph(pi.source, divisor)
     coeffs = [0] * len(pi.target.vertices)
     for i, c in enumerate(divisor.coeffs):
         coeffs[pi.vertex_class[i]] += c

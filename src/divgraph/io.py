@@ -7,10 +7,11 @@ Divisor file: JSON object mapping vertex names to integer coefficients;
 omitted vertices mean 0.
 
 Morphism file: JSON with ``source`` and ``target`` (inline graph object,
-graph file path, or family spec), ``vertex_map`` (object), ``edge_map``
-(array of [source_edge, target_edge] with edges as [u, v] or [u, v, copy]),
-optional ``local_degree`` (object, default 1 per vertex) and optional
-``marked_legs`` (object; branch/ramification marks echoed in reports).
+or a string: graph file path or family spec), ``vertex_map`` (object),
+``edge_map`` (array of [source_edge, target_edge] with edges as [u, v] or
+[u, v, copy]), optional ``local_degree`` (object, default 1 per vertex)
+and optional ``marked_legs`` (object; branch/ramification marks echoed in
+reports).  Every vertex name is a string.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Union
 from . import families
 from .brill_noether import SearchResult
 from .divisors import Divisor
-from .errors import IntegerTooLargeError, InvalidInputError, check_int, check_type
+from .errors import IntegerTooLargeError, InvalidInputError, check_type
 from .graphs import Multigraph, build_graph
 from .harmonic import GraphMorphism, build_morphism
 
@@ -41,6 +42,16 @@ def parse_json(text: str, source):
     except ValueError as exc:
         # sys.get_int_max_str_digits() caps str-to-int conversion too
         raise IntegerTooLargeError(f"{source}: {exc}")
+
+
+def dump_json(doc, **options) -> str:
+    """``json.dumps(doc, **options)``.  An integer past the interpreter's
+    int-to-str digit limit (``sys.get_int_max_str_digits``) raises
+    :class:`IntegerTooLargeError` in place of the bare ``ValueError``."""
+    try:
+        return json.dumps(doc, **options)
+    except ValueError as exc:
+        raise IntegerTooLargeError(str(exc)) from exc
 
 
 def load_json(path: Union[str, Path]):
@@ -91,11 +102,7 @@ def resolve_graph(ref: str, base_dir: Union[str, Path, None] = None) -> tuple[st
 
 
 def load_divisor(path: Union[str, Path], graph: Multigraph) -> Divisor:
-    doc = check_type(load_json(path), "object", "divisor document")
-    values = {}
-    for key, val in doc.items():
-        values[str(key)] = check_int(val, f"divisor coefficient for {key!r}")
-    return Divisor.from_map(graph, values)
+    return Divisor.from_map(graph, check_type(load_json(path), "object", "divisor document"))
 
 
 def divisor_to_doc(divisor: Divisor) -> dict[str, int]:
@@ -120,7 +127,7 @@ def _resolve_graph_field(doc: dict, field: str, base_dir) -> tuple[str, Multigra
     ref = doc[field]
     if isinstance(ref, dict):
         return graph_from_doc(ref)
-    return resolve_graph(str(ref), base_dir)
+    return resolve_graph(check_type(ref, "string", f"morphism {field!r}"), base_dir)
 
 
 def load_morphism(path: Union[str, Path]) -> GraphMorphism:

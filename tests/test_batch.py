@@ -273,6 +273,20 @@ class TestMalformedConfig:
         assert report["error"] == "invalid-input"
         assert not out.exists()
 
+    @pytest.mark.parametrize("ref,code", [("5", 0), (5, 2)])
+    def test_graph_reference_must_be_a_string(self, capsys, tmp_path, ref, code):
+        # a graph file named 5 next to the config; the number 5 must not find it
+        graph = {"name": "b1", "vertices": ["a", "b"], "edges": [["a", "b", 2]]}
+        (tmp_path / "5").write_text(json.dumps(graph), encoding="utf-8")
+        path = tmp_path / "config.json"
+        config = {"graphs": [ref], "params": {"pairs": [[2, 1]]}}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "runs.jsonl"
+        assert main(["batch", "--config", str(path), "--out", str(out)]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report.get("error", "invalid-input") == "invalid-input"
+        assert out.exists() == (code == 0)
+
     def test_graphs_string_is_not_iterated(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(self.CASES["graphs-not-a-list"]), encoding="utf-8")

@@ -254,6 +254,52 @@ class TestHarmonicCommands:
         assert report["target"]["vertices"] == ["v0", "v1"]
 
 
+class TestVertexNamesAreStrings:
+    """A vertex name or graph reference given as a JSON number is invalid
+    input, even where its decimal string names a vertex or a file."""
+
+    DIGITS = {"name": "P3", "vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]]}
+
+    def morphism(self, tmp_path, edge_ref, graph_ref=None):
+        doc = {
+            "source": graph_ref or self.DIGITS,
+            "target": graph_ref or self.DIGITS,
+            "vertex_map": {"1": "1", "2": "2", "3": "3"},
+            "edge_map": [[edge_ref, ["1", "2"]], [["2", "3"], ["2", "3"]]],
+        }
+        path = tmp_path / "f.morphism"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("edge_ref,code", [(["1", "2"], 0), ([1, 2], 2)])
+    def test_edge_reference(self, capsys, tmp_path, edge_ref, code):
+        path = self.morphism(tmp_path, edge_ref)
+        got, report = run_json(capsys, "harmonic-check", "--morphism", path)
+        assert got == code
+        assert report.get("error", "invalid-input") == "invalid-input"
+
+    @pytest.mark.parametrize("pairs,code", [('[["1", "2"]]', 0), ("[[1, 2]]", 2)])
+    def test_contraction_pair(self, capsys, tmp_path, pairs, code):
+        graph, div = tmp_path / "p3.graph", tmp_path / "d.div"
+        graph.write_text(json.dumps(self.DIGITS), encoding="utf-8")
+        div.write_text(json.dumps({"1": 1}), encoding="utf-8")
+        got, report = run_json(
+            capsys, "pushforward", "--graph", str(graph), "--divisor", str(div),
+            "--contract", pairs,
+        )
+        assert got == code
+        assert report.get("error", "invalid-input") == "invalid-input"
+
+    @pytest.mark.parametrize("graph_ref,code", [("5", 0), (5, 2)])
+    def test_morphism_graph_reference(self, capsys, tmp_path, graph_ref, code):
+        # a graph file named 5 next to the morphism file
+        (tmp_path / "5").write_text(json.dumps(self.DIGITS), encoding="utf-8")
+        path = self.morphism(tmp_path, ["1", "2"], graph_ref)
+        got, report = run_json(capsys, "harmonic-check", "--morphism", path)
+        assert got == code
+        assert report.get("error", "invalid-input") == "invalid-input"
+
+
 class TestExitCodesAndStability:
     def test_usage_error_is_one(self, capsys):
         assert main(["no-such-command"]) == 1
@@ -386,6 +432,10 @@ class TestExitCodesAndStability:
         "edge-ref-not-a-pair": (
             ("harmonic-check", "--morphism", "{doc}"),
             {**MORPHISM, "edge_map": [[5, ["v0", "v1"]]]},
+        ),
+        "edge-ref-endpoint-an-array": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "edge_map": [[[["a"], "b"], ["x", "y"]]]},
         ),
         "vertex-image-an-array": (
             ("harmonic-check", "--morphism", "{doc}"),

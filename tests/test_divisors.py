@@ -10,10 +10,12 @@ from divgraph import (
     Divisor,
     EmptyOrFullSetError,
     IndexMismatchError,
+    InvalidInputError,
     ReducedDivisor,
     UnknownVertexError,
     build_graph,
     canonical,
+    contract,
     enumerate_classes,
     fire_set,
     genus,
@@ -21,6 +23,7 @@ from divgraph import (
     is_equivalent,
     is_reduced,
     principal_divisor,
+    pushforward_contraction,
     rank,
     rank_at_least,
     reduce,
@@ -100,6 +103,41 @@ class TestFireSet:
             fired = fire_set(graph, d, subset)
             assert fired.degree == d.degree
             assert is_principal_oracle(graph, [a - b for a, b in zip(fired.coeffs, d.coeffs)])
+
+
+class TestVertexNames:
+    """Every vertex name goes through Multigraph.vertex_index: a name that is
+    not a string is invalid input, never matched through str(); every
+    coefficient goes through check_int."""
+
+    CALLS = {
+        "vertex_divisor": lambda g, v: vertex_divisor(g, v),
+        "reduce": lambda g, v: reduce(g, Divisor.zero(g), v),
+        "enumerate_classes": lambda g, v: next(enumerate_classes(g, v, 1)),
+        "fire_set": lambda g, v: fire_set(g, Divisor.zero(g), [v]),
+        "Divisor.from_map": lambda g, v: Divisor.from_map(g, {v: 1}),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_non_string_name_is_invalid_input(self, call):
+        # the graph has a vertex "0", which the integer 0 must not match
+        graph = build_graph(["0", "1"], [("0", "1")])
+        assert call(graph, "0") is not None
+        with pytest.raises(InvalidInputError):
+            call(graph, 0)
+
+    @pytest.mark.parametrize("value", [1.9, True], ids=["float", "bool"])
+    def test_from_map_coefficient_must_be_an_integer(self, theta222, value):
+        with pytest.raises(InvalidInputError):
+            Divisor.from_map(theta222, {"v0": value})
+
+    def test_principal_divisor_potential_must_be_an_integer(self, theta222):
+        with pytest.raises(InvalidInputError):
+            principal_divisor(theta222, {"v0": "3"})
+
+    def test_at_unknown_vertex(self, theta222):
+        with pytest.raises(UnknownVertexError):
+            Divisor.zero(theta222).at("zz")
 
 
 class TestCanonical:
@@ -373,6 +411,8 @@ class TestForeignDivisor:
             graph, ReducedDivisor(d, d.graph.vertices[0]), 1)),
         ("has_effective_rep", has_effective_rep),
         ("rank", rank),
+        ("pushforward_contraction", lambda graph, d: pushforward_contraction(
+            contract(graph, [graph.vertices[:2]]), d)),
     ]
 
     @pytest.mark.parametrize("name,call", CALLS)
