@@ -64,11 +64,19 @@ class Divisor:
     def at(self, v: str) -> int:
         return self.coeffs[self.graph.vertex_index(v)]
 
+    # an operand that is not a Divisor, or a factor that is not an int,
+    # gets NotImplemented, so Python raises its TypeError: coefficients
+    # stay exact integers
+
     def __add__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         _require_graph(self.graph, other)
         return Divisor(self.graph, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
+        if not isinstance(other, Divisor):
+            return NotImplemented
         _require_graph(self.graph, other)
         return Divisor(self.graph, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -76,6 +84,8 @@ class Divisor:
         return Divisor(self.graph, tuple(-a for a in self.coeffs))
 
     def __mul__(self, n: int) -> "Divisor":
+        if not isinstance(n, int) or isinstance(n, bool):
+            return NotImplemented
         return Divisor(self.graph, tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
@@ -459,6 +469,10 @@ def _anchors_burn(
     return not left
 
 
+# entries of an enumerate_classes burn memo before it is cleared
+_MEMO_CAP = 1 << 16
+
+
 def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     """All superstable configurations with respect to q: the classes of
     :func:`enumerate_classes` with 0 in the q slot, in the same order.
@@ -507,34 +521,31 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
     The walk keeps a chip count per chain: a bump into a chain that
     already holds a chip is rejected without a burn.
 
-    The anchor burn sees a chain only through its chip count, never
-    through which of its vertices holds the chip.  Every position the
-    successor scan passes without accepting is left at 0, so the
-    configuration under test is at most the last one yielded, except at
-    the bumped position.  Two more bumps into a chain are thus decided
-    without a burn:
-
-    - A chain whose chip this scan lifted accepts a chip at its next vertex
-      to the left.  The result is at most the last yield with that chip
-      moved inside its chain, which the anchor burn cannot tell from the
-      last yield; so it is superstable, as superstables are closed
-      downward.
-    - A chain that refused a chip refuses it at its next vertex too, while
-      no coordinate has dropped since the refusal: the anchor burn then
-      sees the same chip counts and anchor values as at the refusal.
-
-    ``state`` counts the drops and the yields; ``refused[c]`` holds its
-    value at the last refusal by chain c, and ``lifted[c]`` its value at
-    the start of the scan that last lifted the chip of chain c.
+    The anchor burn thus reads only the values at the anchors other than q
+    and the chip count of each chain, never which vertex of a chain holds
+    its chip.  The walk keeps that state as one integer ``key``: each
+    chain owns one bit, and each anchor v other than q a field
+    ``degree(v).bit_length()`` bits wide, which holds every value up to
+    degree(v).  ``weight[v]`` is the lowest bit of the field or bit of v;
+    a bump adds it and a reset subtracts the value cleared times it.  Each
+    burn verdict is stored in ``memo`` under its key, and a key seen
+    before is decided without a burn.  The memo is cleared when it
+    reaches ``_MEMO_CAP`` entries, so its memory stays bounded on large
+    graphs.
     """
     qi = graph.vertex_index(q, "base vertex")
     degrees = graph.degrees
     chain_of, links, chains, anchor_list = graph.chain_decomposition(qi)
     anchors = len(anchor_list)
     chips = [0] * (chains + 1)  # chips[0] is for direct edges: always 0
-    lifted = [-1] * (chains + 1)
-    refused = [-1] * (chains + 1)
-    state = 0
+    weight = [1 << (c - 1) if c else 0 for c in chain_of]
+    shift = chains
+    for v in anchor_list:
+        if v != qi:
+            weight[v] = 1 << shift
+            shift += degrees[v].bit_length()
+    key = 0
+    memo: dict[int, bool] = {}
     order = [i for i in range(len(graph.vertices)) if i != qi]
     order.reverse()
     coeffs = [0] * len(graph.vertices)
@@ -542,36 +553,29 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
     while True:
         coeffs[qi] = spare
         yield tuple(coeffs)
-        state += 1
-        scan = state
         for v in order:
             c = chain_of[v]
-            if not c:
-                coeffs[v] += 1
-                if coeffs[v] < degrees[v] and _anchors_burn(
-                    links, coeffs, chips, qi, anchors
-                ):
-                    spare -= 1
+            a = coeffs[v]
+            # a chain vertex has degree 2, and takes a chip only while its
+            # chain holds none
+            if a + 1 < degrees[v] and not chips[c]:
+                a += 1
+                coeffs[v] = a
+                if c:
+                    chips[c] = 1
+                spare -= 1
+                key += weight[v]
+                burns = memo.get(key)
+                if burns is None:
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    burns = memo[key] = _anchors_burn(links, coeffs, chips, qi, anchors)
+                if burns:
                     break
-                if coeffs[v] > 1:
-                    state += 1
-                spare += coeffs[v] - 1
-                coeffs[v] = 0
-            elif coeffs[v]:
+            if a:
                 coeffs[v] = chips[c] = 0
-                spare += 1
-                lifted[c] = scan
-                state += 1
-            elif not chips[c]:
-                coeffs[v] = chips[c] = 1
-                if lifted[c] == scan or (
-                    refused[c] != state
-                    and _anchors_burn(links, coeffs, chips, qi, anchors)
-                ):
-                    spare -= 1
-                    break
-                refused[c] = state
-                coeffs[v] = chips[c] = 0
+                spare += a
+                key -= a * weight[v]
         else:
             return
 

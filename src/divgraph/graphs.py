@@ -106,6 +106,10 @@ class Multigraph:
         return records
 
     def _edge_record(self, u: str, v: str) -> Optional[tuple[int, int]]:
+        """The record of the edges between u and v, or None; both names go
+        through :meth:`vertex_index`."""
+        self.vertex_index(u, "edge endpoint")
+        self.vertex_index(v, "edge endpoint")
         records = self._edge_records
         return records.get((u, v)) or records.get((v, u))
 
@@ -113,8 +117,6 @@ class Multigraph:
         """Position of the ``copy``-th parallel edge between u and v in
         :attr:`edge_list`.  Accepts either endpoint order; both names go
         through :meth:`vertex_index`."""
-        self.vertex_index(u, "edge endpoint")
-        self.vertex_index(v, "edge endpoint")
         record = self._edge_record(u, v)
         if record is None:
             raise UnknownVertexError(f"no edge between {u!r} and {v!r}")
@@ -124,6 +126,8 @@ class Multigraph:
         return pos + copy
 
     def multiplicity(self, u: str, v: str) -> int:
+        """The number of parallel edges between u and v, 0 when they are not
+        adjacent.  Both names go through :meth:`vertex_index`."""
         record = self._edge_record(u, v)
         return 0 if record is None else record[1]
 

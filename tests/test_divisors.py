@@ -140,6 +140,31 @@ class TestVertexNames:
             Divisor.zero(theta222).at("zz")
 
 
+class TestOperands:
+    """Coefficients stay exact integers: an operand that is not a Divisor,
+    or a factor that is not an int, is a TypeError."""
+
+    @pytest.mark.parametrize("other", [1, 0.5, None, (1, 0, 0)])
+    def test_add_and_sub_need_a_divisor(self, other):
+        d = Divisor.zero(cycle(3))
+        for op in (lambda: d + other, lambda: d - other, lambda: other + d, lambda: other - d):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, True, "2", None])
+    def test_factor_must_be_an_int(self, factor):
+        d = Divisor(cycle(3), (1, 0, 0))
+        with pytest.raises(TypeError):
+            d * factor
+        with pytest.raises(TypeError):
+            factor * d
+
+    def test_int_factor(self):
+        d = Divisor(cycle(3), (1, -2, 0))
+        assert d * 3 == 3 * d == Divisor(cycle(3), (3, -6, 0))
+        assert d * 0 == Divisor.zero(cycle(3))
+
+
 class TestCanonical:
     @pytest.mark.parametrize("g", range(1, 6))
     def test_banana(self, g):
@@ -548,8 +573,8 @@ class TestEnumerateClasses:
         # chain vertices interleaved with the anchors in the vertex order
         ("banana(2)^(2) shuffled", shuffled(refine(banana(2), 2)[0], 7)),
         ("theta(1,1,2)^(1) shuffled", shuffled(refine(theta(1, 1, 2), 1)[0], 7)),
-        # chains of 2 and 3 vertices, for the rules that skip the burn of a
-        # chip moving left inside its chain and of a chain that refused one
+        # chains of 2 and 3 vertices: a chip moving inside its chain keeps
+        # the memo key of the anchor burn
         ("banana(1)^(3) shuffled", shuffled(refine(banana(1), 3)[0], 5)),
         ("cycle(3)^(2) shuffled", shuffled(refine(cycle(3), 2)[0], 5)),
         ("pendant and double edge ^(2) shuffled", shuffled(
@@ -601,6 +626,52 @@ class TestEnumerateClasses:
         configs = list(superstable_configs(graph, graph.vertices[0]))
         assert len(configs) == spanning_tree_count(graph) == 270
         assert burns <= self.PLAIN_WALK_BURNS // 2
+
+    # the same walk with each burn verdict kept under its key
+    WALK_BURNS = 92
+
+    @staticmethod
+    def burn_states(monkeypatch, graph, q):
+        """The walk's classes at q, and the state each anchor burn of the
+        walk read: the values at the anchors other than q, and the chip
+        count of each chain."""
+        anchors = graph.chain_decomposition(graph.vertex_index(q)).anchors
+        states = []
+        original = divgraph.divisors._anchors_burn
+
+        def recorder(links, coeffs, chips, qi, count):
+            states.append((tuple(coeffs[v] for v in anchors if v != qi), tuple(chips)))
+            return original(links, coeffs, chips, qi, count)
+
+        monkeypatch.setattr(divgraph.divisors, "_anchors_burn", recorder)
+        return list(superstable_configs(graph, q)), states
+
+    def test_walk_burns(self, monkeypatch):
+        graph, _ = refine(random_multigraph(4, 6, 101), 2)
+        configs, states = self.burn_states(monkeypatch, graph, graph.vertices[0])
+        assert len(configs) == 270
+        assert len(states) == len(set(states)) == self.WALK_BURNS
+
+    @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
+    def test_no_state_is_burnt_twice(self, monkeypatch, name, graph):
+        for q in graph.vertices:
+            _, states = self.burn_states(monkeypatch, graph, q)
+            assert len(states) == len(set(states))
+
+    @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
+    def test_matches_subset_oracle_with_a_tiny_memo(self, monkeypatch, name, graph):
+        # the memo is cleared after every second entry
+        monkeypatch.setattr(divgraph.divisors, "_MEMO_CAP", 2)
+        self.test_matches_subset_oracle_at_every_base(name, graph)
+
+    def test_tiny_memo_burns_again_and_yields_the_same(self, monkeypatch):
+        graph, _ = refine(random_multigraph(4, 6, 101), 2)
+        q = graph.vertices[0]
+        expected = list(superstable_configs(graph, q))
+        monkeypatch.setattr(divgraph.divisors, "_MEMO_CAP", 2)
+        configs, states = self.burn_states(monkeypatch, graph, q)
+        assert configs == expected
+        assert len(states) > len(set(states)) == self.WALK_BURNS
 
     def test_long_cycle_has_no_recursion_limit(self):
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))

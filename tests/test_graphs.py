@@ -64,6 +64,24 @@ class TestBuildGraph:
         assert len(g.edges) == 1
 
 
+class TestMultiplicity:
+    def test_counts_parallel_edges_in_either_order(self):
+        g = build_graph("abc", [("a", "b", 2), ("b", "c")])
+        assert g.multiplicity("a", "b") == g.multiplicity("b", "a") == 2
+        assert g.multiplicity("c", "b") == 1
+        assert g.multiplicity("a", "c") == 0
+
+    @pytest.mark.parametrize("u,v", [(0, 1), ("v0", 1), (["v0"], "v1")])
+    def test_non_string_name_is_invalid_input(self, u, v):
+        with pytest.raises(InvalidInputError):
+            cycle(3).multiplicity(u, v)
+
+    @pytest.mark.parametrize("u,v", [("v0", "zz"), ("zz", "v1")])
+    def test_unknown_name(self, u, v):
+        with pytest.raises(UnknownVertexError):
+            cycle(3).multiplicity(u, v)
+
+
 class TestGenus:
     @pytest.mark.parametrize("g", range(0, 6))
     def test_banana(self, g):
