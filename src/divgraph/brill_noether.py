@@ -10,8 +10,7 @@ the bound looking for a witness divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Union
 
 from .divisors import (
@@ -58,26 +57,37 @@ def bn_bound(g: int, d: int, r: int) -> Bound:
     rounding.  When g - d + r < 0 the formula is undefined and refinement
     is unnecessary, so :data:`RR_SHORTCUT` is returned.  Raises
     :class:`NegativeRhoError` when rho < 0.
+
+    With c = g - d + r, each (c + i)! / i! is the product of i + j over
+    j = 1..c, so the bound is g! over the product of i + j for
+    0 <= i <= r and 1 <= j <= c.  rho >= 0 is the same as c(r + 1) <= g,
+    so that product has at most g factors, and one factorial suffices.
     """
     p = rho(g, d, r)
     if p < 0:
         raise NegativeRhoError(f"rho({g},{d},{r}) = {p} < 0")
-    if g - d + r < 0:
+    c = g - d + r
+    if c < 0:
         return RR_SHORTCUT
-    value = Fraction(factorial(g))
-    for i in range(r + 1):
-        value *= Fraction(factorial(i), factorial(g - d + r + i))
-    if value.denominator != 1 or value <= 0:
+    denominator = prod(i + j for i in range(r + 1) for j in range(1, c + 1))
+    value, remainder = divmod(factorial(g), denominator)
+    if remainder:
         raise NonIntegralBoundError(
-            f"bound for (g,d,r)=({g},{d},{r}) evaluated to non-integral {value}"
+            f"bound for (g,d,r)=({g},{d},{r}) evaluated to a non-integer"
         )
-    return int(value)
+    return value
+
+
+def check_legacy_args(n: int, m: int, d: int, r: int) -> None:
+    """Raise :class:`InvalidInputError` unless n >= 1, m >= 0, d >= 1 and
+    r >= 0, where :func:`legacy_bound` is defined."""
+    if n < 1 or m < 0 or d < 1 or r < 0:
+        raise InvalidInputError("need n >= 1, m >= 0, d >= 1, r >= 0")
 
 
 def _legacy_exponent(n: int, m: int, d: int, r: int) -> int:
     """e = m + n^r * d, the exponent of :func:`legacy_bound`."""
-    if n < 1 or m < 0 or d < 1 or r < 0:
-        raise InvalidInputError("need n >= 1, m >= 0, d >= 1, r >= 0")
+    check_legacy_args(n, m, d, r)
     return m + n**r * d
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -22,6 +21,7 @@ from .brill_noether import (
     bn_bound,
     bound_chain_check,
     bound_report,
+    check_legacy_args,
     find_gdr,
     gonality_search,
     legacy_bound,
@@ -49,22 +49,12 @@ from .io import (
     search_result_to_doc,
 )
 
-_RANDOM_NO_SEED = re.compile(r"^\s*random\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*$")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _graph_arg(ref: str, seed: Optional[int]) -> tuple[str, "Multigraph"]:
-    match = _RANDOM_NO_SEED.match(ref)
-    if match and seed is not None:
-        ref = f"random({match.group(1)},{match.group(2)},{seed})"
-    return resolve_graph(ref)
 
 
 @functools.cache
@@ -86,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         if gdr:
             for flag in ("--g", "--d", "--r"):
                 p.add_argument(flag, type=int, required=True)
-        if graph:
-            p.add_argument("--seed", type=int, default=None, help="seed for random(n,m) specs")
         return p
 
     add("genus", "genus of a graph", _cmd_graph_report, graph=True)
@@ -145,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_graph_report(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     base = {"graph": name, "vertices": len(graph.vertices), "edges": graph.num_edges}
     if args.command == "genus":
         return {**base, "genus": genus(graph)}, 0
@@ -159,16 +147,14 @@ def _cmd_graph_report(args) -> tuple[dict, int]:
 
 
 def _cmd_refine(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     target, iota = refine(graph, args.k)
     report = {
         "graph": name,
         "k": args.k,
         "refined": graph_to_doc(target, f"{name}^({args.k})"),
         "genus": genus(target),
-        "vertex_embedding": {
-            v: iota.vertex_embedding[i] for i, v in enumerate(graph.vertices)
-        },
+        "vertex_embedding": {v: v for v in graph.vertices},
     }
     if args.divisor:
         moved = transport(iota, load_divisor(args.divisor, graph))
@@ -178,7 +164,7 @@ def _cmd_refine(args) -> tuple[dict, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     div = load_divisor(args.divisor, graph)
     q = args.q or graph.vertices[0]
     red = reduce(graph, div, q)
@@ -193,7 +179,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 
 def _cmd_rank(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     div = load_divisor(args.divisor, graph)
     return {
         "graph": name,
@@ -204,7 +190,7 @@ def _cmd_rank(args) -> tuple[dict, int]:
 
 
 def _cmd_rr_verify(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     div = load_divisor(args.divisor, graph)
     k = canonical(graph)
     residual = riemann_roch_residual(graph, div)
@@ -242,8 +228,14 @@ def _printable_legacy_bound(n: int, m: int, d: int, r: int) -> int:
     before the factorial is taken when its digit count surely exceeds the
     interpreter's int-to-str limit (``sys.get_int_max_str_digits``, 0 when
     lifted), so that the report could not be printed anyway."""
+    check_legacy_args(n, m, d, r)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and legacy_bound_min_digits(n, m, d, r) > limit:
+    # the bound is at least n^r >= 2^(r(bitlen(n) - 1)); refusing on that
+    # first spares building n^r, which takes seconds for a huge r
+    if limit and (
+        r * (n.bit_length() - 1) * 30102 // 100000 >= limit
+        or legacy_bound_min_digits(n, m, d, r) > limit
+    ):
         raise IntegerTooLargeError(
             f"legacy_bound({n}, {m}, {d}, {r}) has more than {limit} digits, "
             "the limit for integer string conversion"
@@ -278,7 +270,7 @@ def _cmd_bound_compare(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     g = genus(graph)
     p = rho(g, args.d, args.r)
     limits = SearchLimits(max_k=args.k_max, max_classes=args.max_classes)
@@ -301,7 +293,7 @@ def _cmd_search(args) -> tuple[dict, int]:
 
 
 def _cmd_gonality(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     result = gonality_search(graph, args.r, args.d_max)
     return {
         "graph": name,
@@ -354,7 +346,7 @@ def _cmd_pullback(args) -> tuple[dict, int]:
 
 
 def _cmd_pushforward(args) -> tuple[dict, int]:
-    name, graph = _graph_arg(args.graph, args.seed)
+    name, graph = resolve_graph(args.graph)
     raw = args.contract
     pairs = parse_json(raw, "--contract") if raw.lstrip().startswith("[") else load_json(raw)
     pi = contract(graph, check_type(pairs, "array", "--contract"))

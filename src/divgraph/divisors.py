@@ -201,8 +201,6 @@ def _reduce_coeffs(
     an effectivity test needs, but it need not be q-reduced.
     """
     n = len(graph.vertices)
-    if n == 1:
-        return coeffs
     adjacency = graph.adjacency
     dist = graph.bfs_distances(q)
 
@@ -432,12 +430,7 @@ def transport(iota: RefinementMap, divisor: Divisor) -> Divisor:
     are copied onto the embedded vertices, inserted vertices get 0.
     Degree-preserving and injective."""
     _require_graph(iota.source, divisor)
-    values = {
-        iota.vertex_embedding[i]: c
-        for i, c in enumerate(divisor.coeffs)
-        if c != 0
-    }
-    return Divisor.from_map(iota.target, values)
+    return Divisor.from_map(iota.target, divisor.to_map())
 
 
 def _anchors_burn(
@@ -584,7 +577,10 @@ def riemann_roch_residual(graph: Multigraph, divisor: Divisor) -> int:
     """rank(D) - rank(K - D) - deg(D) + g - 1; zero for every divisor by
     the Riemann-Roch theorem for graphs.  Exposed as a correctness oracle,
     so both ranks come from :func:`_scan_rank`: :func:`rank` applies the
-    theorem itself, which would make the residual zero by construction."""
+    theorem itself, which would make the residual zero by construction.
+    The oracle checks something only for 0 <= deg D <= 2g - 2: outside
+    that range :func:`_scan_rank` answers -1 on one side and deg - g on
+    the other, so the residual is zero by construction there too."""
     k = canonical(graph)
     return (
         _scan_rank(graph, divisor)

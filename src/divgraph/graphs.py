@@ -281,28 +281,28 @@ def laplacian(graph: Multigraph) -> list[list[int]]:
 
 
 def _bareiss_determinant(mat: list[list[int]]) -> int:
-    """Fraction-free exact determinant (Bareiss elimination)."""
+    """Fraction-free exact determinant (Bareiss elimination) of a positive
+    semidefinite matrix, such as a reduced Laplacian.
+
+    The k-th pivot is the leading principal minor of order k + 1 (Bareiss
+    1968), so it needs no row exchange: for a positive definite matrix
+    every pivot is positive, and for a positive semidefinite one a zero
+    leading principal minor means the determinant is zero.
+    """
     a = [row[:] for row in mat]
     n = len(a)
     if n == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def kirchhoff_minor_determinant(graph: Multigraph, drop: int = 0) -> int:
@@ -329,16 +329,15 @@ def spanning_tree_count(graph: Multigraph) -> int:
 class RefinementMap:
     """The vertex inclusion of a graph into its k-th homothetic refinement.
 
-    ``vertex_embedding[i]`` is the target name of source vertex i (names are
-    preserved, so this is the identity on names).  ``edge_chains`` holds, per
-    expanded source edge (see :attr:`Multigraph.edge_list`), the ordered k
-    inserted vertices subdividing that copy.
+    Refinement keeps vertex names, so each source vertex embeds as the
+    target vertex of the same name.  ``edge_chains`` holds, per expanded
+    source edge (see :attr:`Multigraph.edge_list`), the ordered k inserted
+    vertices subdividing that copy.
     """
 
     source: Multigraph
     target: Multigraph
     k: int
-    vertex_embedding: tuple[str, ...]
     edge_chains: tuple[tuple[str, ...], ...]
 
 
@@ -382,7 +381,6 @@ def refine(graph: Multigraph, k: int) -> tuple[Multigraph, RefinementMap]:
         source=graph,
         target=target,
         k=k,
-        vertex_embedding=graph.vertices,
         edge_chains=tuple(chains),
     )
     return target, iota

@@ -10,7 +10,7 @@ import divgraph.batch
 from divgraph.batch import batch_run, expand_units, load_recorded_keys, run_unit, unit_key
 from divgraph.brill_noether import SearchLimits, find_gdr
 from divgraph.cli import main
-from divgraph.errors import InvalidInputError
+from divgraph.errors import InvalidInputError, PreconditionViolatedError
 from divgraph.families import theta
 from divgraph.io import search_result_to_doc
 
@@ -152,6 +152,20 @@ class TestBatchRun:
         a = unit_key("banana(1)", 2, 1, SearchLimits(max_classes=10))
         b = unit_key("banana(1)", 2, 1, SearchLimits(max_classes=20))
         assert a != b
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        out = tmp_path / "runs.jsonl"
+        out.write_text('{"key": "a"}\n\n   \n{"key": "b"}\n')
+        assert load_recorded_keys(out) == {"a", "b"}
+
+    def test_search_error_becomes_an_error_record(self, monkeypatch):
+        def refuse(*args):
+            raise PreconditionViolatedError("refused")
+
+        monkeypatch.setattr(divgraph.batch, "find_gdr", refuse)
+        record = run_unit(("theta(2,2,2)", theta(2, 2, 2), 3, 1, SearchLimits()))
+        assert (record["error"], record["message"]) == ("precondition-violated", "refused")
+        assert "found" not in record and record["theorem_bound"] == 2
 
     def test_corrupt_record_rejected(self, tmp_path):
         out = tmp_path / "runs.jsonl"

@@ -119,6 +119,31 @@ class TestBnBound:
                     checked += 1
         assert checked > 100
 
+    def test_matches_fraction_oracle_to_genus_15(self):
+        cases = [
+            (g, d, r)
+            for g in range(16)
+            for r in range(8)
+            for d in range(g + r + 1)  # g - d + r >= 0
+            if rho(g, d, r) >= 0
+        ]
+        assert len(cases) == 414
+        for g, d, r in cases:
+            assert bn_bound(g, d, r) == bn_bound_fraction_oracle(g, d, r), (g, d, r)
+
+    def test_takes_one_factorial_whatever_r(self, monkeypatch):
+        # the product of 2(r + 1) factorials took seconds at r = 4000
+        taken = []
+
+        def counting(n):
+            taken.append(n)
+            return factorial(n)
+
+        monkeypatch.setattr(divgraph.brill_noether, "factorial", counting)
+        assert bn_bound(0, 20000, 20000) == 1
+        assert bn_bound(6, 8, 3) == 30
+        assert taken == [0, 6]
+
 
 class TestLegacyBound:
     def test_genus_minimal_shape(self):

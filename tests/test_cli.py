@@ -167,11 +167,29 @@ class TestGraphCommands:
         assert code == 0
         assert report["residual"] == 0 and report["ok"] is True
 
-    def test_random_family_with_seed_flag(self, capsys):
-        code1, r1 = run_json(capsys, "trees", "--graph", "random(5,8)", "--seed", "7")
-        code2, r2 = run_json(capsys, "trees", "--graph", "random(5,8,7)")
-        assert code1 == code2 == 0
-        assert r1["spanning_trees"] == r2["spanning_trees"]
+    # the rest of a valid command line for each subcommand taking --graph;
+    # parsing fails before any file is read
+    GRAPH_COMMANDS = {
+        "genus": (),
+        "laplacian": (),
+        "trees": (),
+        "refine": ("--k", "1"),
+        "reduce": ("--divisor", "d.div"),
+        "rank": ("--divisor", "d.div"),
+        "rr-verify": ("--divisor", "d.div"),
+        "search": ("--d", "2", "--r", "1"),
+        "gonality": ("--d-max", "2"),
+        "pushforward": ("--divisor", "d.div", "--contract", "[]"),
+    }
+
+    @pytest.mark.parametrize("command,rest", GRAPH_COMMANDS.items(), ids=GRAPH_COMMANDS.keys())
+    def test_seed_flag_is_a_usage_error(self, capsys, command, rest):
+        # a random graph is written random(n,m,seed); no flag supplies the seed
+        code = main([command, "--graph", "random(5,8)", *rest, "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "unrecognized arguments: --seed 7" in captured.err
+        assert captured.out == ""
 
 
 class TestSearchCommand:
@@ -323,6 +341,7 @@ class TestExitCodesAndStability:
             ("search", "--graph", "banana(2)", "--d", "2", "--r", "1", "--k-max", "-1"),
             ("search", "--graph", "banana(2)", "--d", "2", "--r", "1", "--max-classes", "-1"),
             ("gonality", "--graph", "banana(2)", "--d-max", "-3"),
+            ("bound-legacy", "--n", "3", "--m", "-1", "--d", "1", "--r", "100000000"),
         ],
     )
     def test_out_of_range_argument_is_invalid_input(self, capsys, argv):
@@ -441,6 +460,30 @@ class TestExitCodesAndStability:
             ("harmonic-check", "--morphism", "{doc}"),
             {**MORPHISM, "vertex_map": {"a": ["x"], "b": "y", "c": "x"}},
         ),
+        "graph-vertex-names-repeated": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": ["a", "b", "a"], "edges": [["a", "b"]]},
+        ),
+        "graph-edge-spec-too-long": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": ["a", "b"], "edges": [["a", "b", 1, 1]]},
+        ),
+        "graph-without-vertices": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "edges": [["a", "b"]]},
+        ),
+        "edge-map-entry-not-a-pair": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "edge_map": [[["a", "b"], ["x", "y"], ["b", "c"]]]},
+        ),
+        "source-edge-mapped-twice": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "edge_map": [[["a", "b"], ["x", "y"]], [["b", "a"], ["x", "y"]]]},
+        ),
+        "edge-map-missing": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {k: v for k, v in MORPHISM.items() if k != "edge_map"},
+        ),
     }
 
     @pytest.mark.parametrize("argv,doc", MALFORMED.values(), ids=MALFORMED.keys())
@@ -455,6 +498,24 @@ class TestExitCodesAndStability:
         assert code == 2
         assert json.loads(captured.out)["error"] == "invalid-input"
         assert captured.err == ""
+
+    UNKNOWN = {
+        "graph-edge-from-an-undeclared-vertex": (
+            ("genus", "--graph", "{doc}"),
+            {"name": "g", "vertices": ["a", "b"], "edges": [["z", "b"]]},
+        ),
+        "vertex-map-misses-a-vertex": (
+            ("harmonic-check", "--morphism", "{doc}"),
+            {**MORPHISM, "vertex_map": {"a": "x", "b": "y"}},
+        ),
+    }
+
+    @pytest.mark.parametrize("argv,doc", UNKNOWN.values(), ids=UNKNOWN.keys())
+    def test_undeclared_vertex_is_unknown_vertex(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report = run_json(capsys, *(a.format(doc=path) for a in argv))
+        assert code == 2 and report["error"] == "unknown-vertex"
 
     def test_loop_edge_reason(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
@@ -590,6 +651,26 @@ class TestHugeIntegers:
         assert code == 2
         assert json.loads(captured.out)["error"] == "integer-too-large"
         assert captured.err == ""
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+    )
+    def test_huge_power_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        # the digit estimate builds n^r, 20 MB and tens of seconds at
+        # r = 10^8; n^r >= 2^r alone already exceeds the limit
+        def refuse(*args):
+            raise AssertionError("the digit estimate built n^r")
+
+        monkeypatch.setattr(divgraph.cli, "legacy_bound_min_digits", refuse)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, report = run_json(
+                capsys, "bound-legacy", "--n", "3", "--m", "1", "--d", "1", "--r", str(10**8)
+            )
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 2 and report["error"] == "integer-too-large"
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"

@@ -214,6 +214,11 @@ class TestReduce:
                 assert is_reduced(graph, red.divisor, q)
                 assert equivalent_oracle(graph, red.divisor, d)
 
+    def test_negative_away_from_q_is_not_reduced(self, path3):
+        # (2, -1, 1) on the path a-b-c, superstable were b not negative
+        assert not is_reduced(path3, Divisor(path3, (2, -1, 1)), "a")
+        assert not is_reduced_by_subsets(path3, (2, -1, 1), 0)
+
     def test_is_reduced_validates_like_reduce(self, theta222, path3):
         with pytest.raises(UnknownVertexError):
             is_reduced(theta222, Divisor.zero(theta222), "zz")
@@ -221,6 +226,17 @@ class TestReduce:
         other = Divisor(path3, (0, 0, 0))
         with pytest.raises(IndexMismatchError):
             is_reduced(theta222, other, "v0")
+
+    @pytest.mark.parametrize("d", range(-2, 3))
+    def test_single_vertex_graph(self, d):
+        # one vertex: every divisor is its own q-reduced form, one class
+        # per degree, and genus 0 makes the rank deg D or -1
+        graph = build_graph(["a"], [])
+        divisor = Divisor(graph, (d,))
+        assert reduce(graph, divisor, "a").divisor == divisor
+        assert has_effective_rep(graph, divisor) is (d >= 0)
+        assert rank(graph, divisor) == max(d, -1)
+        assert list(enumerate_classes(graph, "a", d)) == [(d,)]
 
     @pytest.mark.parametrize("name,graph", CORPUS[:8])
     def test_class_invariance(self, name, graph):
@@ -450,6 +466,11 @@ class TestForeignDivisor:
         ):
             with pytest.raises(IndexMismatchError):
                 call(graph, Divisor(cycle(5), coeffs))
+
+    @pytest.mark.parametrize("coeffs", [(1, 0), (1, 0, 0, 0)])
+    def test_coefficient_count_must_match_the_vertices(self, coeffs):
+        with pytest.raises(IndexMismatchError, match="coefficients for 3 vertices"):
+            Divisor(cycle(3), coeffs)
 
     def test_is_equivalent_checks_the_graph_before_the_degree(self):
         with pytest.raises(IndexMismatchError):

@@ -79,7 +79,13 @@ class TestFamilySpecs:
         assert len(g.vertices) == vertices
         assert g.num_edges == edges
 
-    @pytest.mark.parametrize("bad", ["banana", "petersen(1)", "banana(1,2)", "banana(x)"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "banana", "petersen(1)", "banana(1,2)", "banana(x)", "banana(-1)", "theta(0,1,1)",
+            "chain(0)", "random(0,0,1)", "random(1,1,1)", "cycle(1-2)",
+        ],
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvalidInputError):
             from_spec(bad)

@@ -9,6 +9,7 @@ from divgraph import (
     IndexMismatchError,
     InvalidInputError,
     LoopEdgeError,
+    Multigraph,
     UnknownVertexError,
     build_graph,
     genus,
@@ -81,6 +82,15 @@ class TestMultiplicity:
         with pytest.raises(UnknownVertexError):
             cycle(3).multiplicity(u, v)
 
+    def test_edge_index(self):
+        g = build_graph("abc", [("a", "b", 2), ("b", "c")])
+        assert [g.edge_index("b", "a", 1), g.edge_index("c", "b")] == [1, 2]
+        with pytest.raises(UnknownVertexError, match="no edge"):
+            g.edge_index("a", "c")
+        for copy in (2, -1):
+            with pytest.raises(InvalidInputError, match="no copy"):
+                g.edge_index("a", "b", copy)
+
 
 class TestGenus:
     @pytest.mark.parametrize("g", range(0, 6))
@@ -143,6 +153,14 @@ class TestSpanningTrees:
         for drop in range(len(graph.vertices)):
             assert kirchhoff_minor_determinant(graph, drop) == expected
 
+    def test_isolated_first_vertex_has_no_spanning_tree(self):
+        # the raw constructor does not check connectivity; each reduced
+        # Laplacian is then singular, and a zero pivot ends the elimination
+        graph = Multigraph(("a", "b", "c", "d"), (("b", "c", 2), ("c", "d", 1), ("b", "d", 1)))
+        assert spanning_trees_bruteforce(graph) == 0
+        for drop in range(4):
+            assert kirchhoff_minor_determinant(graph, drop) == 0
+
 
 class TestRefine:
     def test_banana_to_cycle(self):
@@ -155,7 +173,6 @@ class TestRefine:
     def test_identity_refinement(self, theta222):
         target, iota = refine(theta222, 0)
         assert target == theta222
-        assert iota.vertex_embedding == theta222.vertices
         assert all(chain == () for chain in iota.edge_chains)
 
     def test_doubled_triangle_k2_counts(self, theta222):
@@ -181,6 +198,11 @@ class TestRefine:
     def test_index_must_be_a_non_negative_integer(self, k):
         with pytest.raises(InvalidInputError, match="refinement index k"):
             refine(banana(1), k)
+
+    def test_inserted_name_colliding_with_a_vertex_rejected(self):
+        graph = build_graph(["a", "b", "a:b:0:1"], [("a", "b"), ("b", "a:b:0:1")])
+        with pytest.raises(InvalidInputError, match="collides"):
+            refine(graph, 1)
 
     def test_inserted_names_deterministic(self):
         t1, _ = refine(banana(1), 2)

@@ -10,6 +10,7 @@ from divgraph import (
     InvalidInputError,
     LoopEdgeError,
     NotHarmonicError,
+    UnknownVertexError,
     build_graph,
     build_morphism,
     check_harmonic,
@@ -148,6 +149,8 @@ class TestRiemannHurwitz:
         )
         with pytest.raises(NotHarmonicError):
             riemann_hurwitz_check(f)
+        with pytest.raises(NotHarmonicError):
+            pullback(f, Divisor.zero(target))
 
     def test_marked_legs_reported_but_excluded(self):
         # leg marks never change either side of the identity
@@ -240,3 +243,7 @@ class TestContraction:
         tri = cycle(3)
         with pytest.raises(LoopEdgeError):
             contract(tri, [("v0", "v1"), ("v1", "v2")])
+
+    def test_pair_without_a_bond_rejected(self):
+        with pytest.raises(UnknownVertexError, match="no edge bond"):
+            contract(cycle(4), [("v0", "v2")])
