@@ -10,12 +10,16 @@ the bound looking for a witness divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import factorial, prod
+from operator import itemgetter
 from typing import Optional, Union
 
 from .divisors import (
+    _MEMO_CAP,
     Divisor,
     ReducedDivisor,
+    _anchor_screen,
     enumerate_classes,
     rank_at_least,
     reduce,
@@ -199,17 +203,39 @@ def _search_one_level(
     The enumeration yields coefficient tuples.  A class with D(q) < r is
     examined but not rank-checked: it is q-reduced, so D - r*(q) is
     q-reduced too and negative at q, hence not effective, and the rank is
-    below r; :func:`rank_at_least` would return the same verdict.  Only the
-    other classes are built into a divisor, and they go to it as a
-    :class:`ReducedDivisor`, so it does not reduce them again.
+    below r; :func:`rank_at_least` would return the same verdict.
+
+    Every other class goes through the anchor screen first.  The screen
+    reads only its anchor state: the values at the anchors of
+    :meth:`Multigraph.chain_decomposition` and the chip count of each
+    chain, here one bit per chain.  Many classes of a level share a state,
+    so the scan keeps the screen's verdict per state in ``screened``,
+    cleared at ``_MEMO_CAP`` entries like the walk's memo.  The screen only
+    rejects classes of rank below r, so only the classes it does not
+    reject are built into a divisor, and they go to :func:`rank_at_least`
+    as a :class:`ReducedDivisor`, so it does not reduce them again.
     """
     q = graph.vertices[0]
+    chain_of, _, _, anchors = graph.chain_decomposition(0)
+    anchor_values = itemgetter(*anchors)
+    inner = [v for v, c in enumerate(chain_of) if c]
+    bits = [1 << (chain_of[v] - 1) for v in inner]
+    screened: dict[tuple, bool] = {}
     examined = 0
     for coeffs in enumerate_classes(graph, q, d):
         if budget is not None and examined >= budget:
             return None, examined, True
         examined += 1
         if coeffs[0] >= r:
+            # a q-reduced class holds 0 or 1 chip at each chain vertex
+            state = (anchor_values(coeffs), sum(compress(bits, map(coeffs.__getitem__, inner))))
+            rejected = screened.get(state)
+            if rejected is None:
+                if len(screened) >= _MEMO_CAP:
+                    screened.clear()
+                rejected = screened[state] = _anchor_screen(graph, coeffs, r)
+            if rejected:
+                continue
             red = ReducedDivisor(Divisor(graph, coeffs), q)
             if rank_at_least(graph, red, r):
                 return red.divisor, examined, False

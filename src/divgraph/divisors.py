@@ -316,25 +316,18 @@ def rank_at_least(
 
     For deg D > 2g - 2 the verdict is deg D - g >= r, as in :func:`rank`.
     Otherwise this checks |D - E| nonempty for every effective divisor E of
-    degree r; E ranges over size-r vertex multisets in lexicographic index
-    order, and the scan short-circuits on the first failure.
+    degree r, and the scan short-circuits on the first failure.  For r = 1,
+    E = (v) ranges over :meth:`Multigraph.rank_determining_set` at q in
+    index order: the anchors of :meth:`Multigraph.chain_decomposition` and
+    one vertex of each closed chain, which settle the verdict exactly (Luo
+    2011, Hladky-Kral-Norine 2013).  For r >= 2, E ranges over size-r
+    vertex multisets in lexicographic index order.
 
-    The first multiset is E = r*(q) with q the vertex of index 0.  With
-    base the q-reduced form of D, base - r*(q) is still q-reduced, so that
-    trial fails iff base(q) < r; the check ``base[qi] < r`` returns that
-    verdict without reducing the trial.
-
-    Before the trials, an anchor screen rejects most failing checks
-    without a reduction.  Take the anchors and degree-2 chains of
-    :meth:`Multigraph.chain_decomposition` at q.  A q-reduced base holds
-    at most one chip per chain, so Dhar's burn from an anchor v burns the
-    whole graph iff the burn on the anchor graph, fed the chip count of
-    each chain, reaches every anchor.  Base is then v-reduced as well, and
-    if base(v) < r the trial r*(v) leaves a v-reduced divisor negative at
-    v: the check fails.  The screen only ever answers False, so the verdict
-    is that of the trials.  q burns only once its heat, at most deg(q),
-    exceeds base(q), so the screen is skipped when base(q) >= deg(q), as in
-    most checks of r >= 3.
+    The first trial is E = r*(q) with q the vertex of index 0.  With base
+    the q-reduced form of D, base - r*(q) is still q-reduced, so that trial
+    fails iff base(q) < r; the check ``base[qi] < r`` returns that verdict
+    without reducing the trial.  Before the other trials,
+    :func:`_anchor_screen` rejects most failing checks without a reduction.
 
     ``divisor`` may also be a :class:`ReducedDivisor`, as the search's
     level scan passes each class of :func:`enumerate_classes` it checks,
@@ -364,25 +357,49 @@ def rank_at_least(
         return False
     if r == 0:
         return True
-    if base[qi] < graph.degrees[qi]:
-        chain_of, links, chains, anchors = graph.chain_decomposition(qi)
-        starts = [v for v in anchors if base[v] < r]
-        if starts:
-            chips = [0] * (chains + 1)
-            for v, c in enumerate(chain_of):
-                if c:
-                    chips[c] += base[v]
-            for v in starts:
-                if _anchors_burn(links, base, chips, v, len(anchors)):
-                    return False
-    n = len(graph.vertices)
-    for combo in itertools.combinations_with_replacement(range(n), r):
+    if _anchor_screen(graph, base, r):
+        return False
+    if r == 1:
+        trials: Iterable[Sequence[int]] = ((v,) for v in graph.rank_determining_set(qi))
+    else:
+        trials = itertools.combinations_with_replacement(range(len(graph.vertices)), r)
+    for combo in trials:
         trial = list(base)
         for i in combo:
             trial[i] -= 1
         if not _effective_rep_raw(graph, trial):
             return False
     return True
+
+
+def _anchor_screen(graph: Multigraph, base: Sequence[int], r: int) -> bool:
+    """True when the q-reduced coefficients ``base`` (q the vertex of index
+    0) provably have rank below r, by one anchor-graph burn per anchor.
+
+    Take the anchors and degree-2 chains of
+    :meth:`Multigraph.chain_decomposition` at q.  A q-reduced base holds at
+    most one chip per chain, so Dhar's burn from an anchor v burns the
+    whole graph iff the burn on the anchor graph, fed the chip count of
+    each chain, reaches every anchor.  Base is then v-reduced as well, and
+    if base(v) < r the trial r*(v) leaves a v-reduced divisor negative at
+    v: the rank is below r.  A False answer decides nothing.  q burns only
+    once its heat, at most deg(q), exceeds base(q), so the screen answers
+    False at once when base(q) >= deg(q), as in most checks of r >= 3.
+
+    The answer reads only the values at the anchors and the chip count of
+    each chain, so the level scan keeps it per such anchor state.
+    """
+    if base[0] >= graph.degrees[0]:
+        return False
+    chain_of, links, chains, anchors = graph.chain_decomposition(0)
+    starts = [v for v in anchors if base[v] < r]
+    if not starts:
+        return False
+    chips = [0] * (chains + 1)
+    for v, c in enumerate(chain_of):
+        if c:
+            chips[c] += base[v]
+    return any(_anchors_burn(links, base, chips, v, len(anchors)) for v in starts)
 
 
 def rank(graph: Multigraph, divisor: Divisor) -> int:
@@ -462,7 +479,8 @@ def _anchors_burn(
     return not left
 
 
-# entries of an enumerate_classes burn memo before it is cleared
+# entries of an enumerate_classes burn memo, or of the level scan's screen
+# memo, before it is cleared
 _MEMO_CAP = 1 << 16
 
 

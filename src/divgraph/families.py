@@ -11,13 +11,14 @@ import random as _random
 import re
 
 from .errors import InvalidInputError
-from .graphs import Multigraph, build_graph
+from .graphs import Multigraph, build_graph, check_graph_size
 
 
 def banana(g: int) -> Multigraph:
     """Two vertices joined by g+1 parallel edges; genus g."""
     if g < 0:
         raise InvalidInputError("banana(g) needs g >= 0")
+    check_graph_size(2, g + 1, f"banana({g})")
     return build_graph(["v0", "v1"], [("v0", "v1", g + 1)])
 
 
@@ -25,6 +26,7 @@ def cycle(n: int) -> Multigraph:
     """The n-cycle; n = 2 degenerates to a doubled edge.  Genus 1."""
     if n < 2:
         raise InvalidInputError("cycle(n) needs n >= 2")
+    check_graph_size(n, n, f"cycle({n})")
     verts = [f"v{i}" for i in range(n)]
     if n == 2:
         return build_graph(verts, [("v0", "v1", 2)])
@@ -37,6 +39,7 @@ def theta(n1: int, n2: int, n3: int) -> Multigraph:
     theta(2,2,2) is the doubled triangle of genus 4."""
     if min(n1, n2, n3) < 1:
         raise InvalidInputError("theta sides need multiplicity >= 1")
+    check_graph_size(3, n1 + n2 + n3, f"theta({n1},{n2},{n3})")
     return build_graph(
         ["v0", "v1", "v2"],
         [("v0", "v1", n1), ("v1", "v2", n2), ("v0", "v2", n3)],
@@ -47,6 +50,7 @@ def chain_of_loops(g: int) -> Multigraph:
     """g doubled edges in a chain; genus g."""
     if g < 1:
         raise InvalidInputError("chain_of_loops(g) needs g >= 1")
+    check_graph_size(g + 1, 2 * g, f"chain({g})")
     verts = [f"v{i}" for i in range(g + 1)]
     edges = [(verts[i], verts[i + 1], 2) for i in range(g)]
     return build_graph(verts, edges)
@@ -62,6 +66,7 @@ def random_multigraph(n: int, m: int, seed: int) -> Multigraph:
         raise InvalidInputError(f"random(n,m,seed) needs m >= n-1 = {n - 1} for connectivity")
     if n == 1 and m > 0:
         raise InvalidInputError("a single-vertex graph admits no loopless edges")
+    check_graph_size(n, m, f"random({n},{m},{seed})")
     rng = _random.Random(seed)
     verts = [f"v{i}" for i in range(n)]
     edges: list[tuple[str, str]] = []

@@ -33,6 +33,21 @@ EdgeSpec = Sequence  # (u, v) or (u, v, multiplicity)
 # generated names read as "u:v:copy:position".
 _REFINE_SEP = ":"
 
+# The most vertices, and the most edges counted with multiplicity, that a
+# built-in family or a refinement may build.  A larger request raises
+# InvalidInputError before anything is allocated.
+MAX_GRAPH_SIZE = 100_000
+
+
+def check_graph_size(vertices: int, edges: int, what: str) -> None:
+    """Raise :class:`InvalidInputError` when a graph about to be built would
+    exceed :data:`MAX_GRAPH_SIZE` vertices or edges."""
+    if max(vertices, edges) > MAX_GRAPH_SIZE:
+        raise InvalidInputError(
+            f"{what} would have {vertices} vertices and {edges} edges; "
+            f"the limit is {MAX_GRAPH_SIZE} of each"
+        )
+
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -205,6 +220,39 @@ class Multigraph:
             )
         return cache[root]
 
+    @cached_property
+    def _rank_set_cache(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def rank_determining_set(self, root: int) -> tuple[int, ...]:
+        """The set ``A`` of vertex indices, in index order, on which rank-1
+        trials suffice: the anchors of :meth:`chain_decomposition` at
+        ``root``, plus the lowest-index vertex of each closed chain (one
+        whose two ends are the same anchor, so it has no entry in
+        ``links``).
+
+        ``A`` is the vertex set of a loopless model of the metric graph: a
+        chain between two different anchors becomes one edge, and a closed
+        chain two edges through its chosen vertex.  So ``A`` is
+        rank-determining (Luo, "Rank-determining sets of metric graphs",
+        JCTA 2011), and since ranks on the graph equal ranks on its metric
+        graph (Hladky-Kral-Norine, "Rank of divisors on tropical curves",
+        JCTA 2013), D has rank >= 1 iff D - v is equivalent to an
+        effective divisor for every v in ``A``.
+        """
+        cache = self._rank_set_cache
+        if root not in cache:
+            chain_of, links, _, anchors = self.chain_decomposition(root)
+            closed = set(chain_of) - {c for ls in links for _, _, c in ls}
+            closed.discard(0)
+            chosen = set(anchors)
+            for v, c in enumerate(chain_of):
+                if c in closed:
+                    closed.discard(c)
+                    chosen.add(v)
+            cache[root] = tuple(sorted(chosen))
+        return cache[root]
+
 
 class ChainDecomposition(NamedTuple):
     """The anchors and degree-2 chains of :meth:`Multigraph.chain_decomposition`."""
@@ -351,6 +399,9 @@ def refine(graph: Multigraph, k: int) -> tuple[Multigraph, RefinementMap]:
     invariant under refinement.
     """
     check_int(k, "refinement index k", 0)
+    if k:
+        m = graph.num_edges
+        check_graph_size(len(graph.vertices) + k * m, (k + 1) * m, f"refinement with k = {k}")
     new_vertices = list(graph.vertices)
     taken = set(new_vertices)
     new_edges: list[tuple[str, str, int]] = []

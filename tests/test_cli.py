@@ -331,6 +331,19 @@ class TestExitCodesAndStability:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("genus", "--graph", "cycle(100000000)"),
+            ("genus", "--graph", "random(3,100000000,1)"),
+            ("refine", "--graph", "banana(2)", "--k", "1000000000"),
+        ],
+    )
+    def test_oversized_graph_fails_fast(self, capsys, argv):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "invalid-input" and "limit" in report["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("rho", "--g", "-1", "--d", "2", "--r", "1"),
             ("bound", "--g", "2", "--d", "-1", "--r", "0"),
             ("bound-compare", "--g", "2", "--d", "2", "--r", "-1"),

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import divgraph.brill_noether
 import divgraph.divisors
 from divgraph import (
     Divisor,
@@ -700,10 +701,60 @@ class TestEnumerateClasses:
         assert first == [zero, zero[:1099] + (1,), zero[:1098] + (1, 0)]
 
 
+# a double edge a-b, and two chains closing on b: x1-x2 and y1-y2-y3
+TWO_LOOPS = build_graph(
+    ["a", "b", "x1", "x2", "y1", "y2", "y3"],
+    [("a", "b", 2), ("b", "x1"), ("x1", "x2"), ("x2", "b"),
+     ("b", "y1"), ("y1", "y2"), ("y2", "y3"), ("y3", "b")],
+)
+
+
+class TestRankDeterminingSet:
+    """rank_at_least runs its r = 1 trials over A: the anchors at q and the
+    lowest-index vertex of each chain closing on one anchor."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_cycle_gives_q_and_one_inner_vertex(self, n):
+        assert cycle(n).rank_determining_set(0) == (0, 1)
+
+    def test_hanging_cycle(self):
+        graph = dict(TestEnumerateClasses.CHAIN_GRAPHS)["hanging cycle"]
+        # b and c have degree 2 too: a is the only anchor, and both the
+        # triangle's b-c and the hanging x-y close on it
+        assert graph.chain_decomposition(0).anchors == (0,)
+        assert graph.rank_determining_set(0) == (0, 1, 3)
+
+    def test_chains_between_two_anchors_add_nothing(self):
+        graph, _ = refine(theta(2, 2, 2), 1)
+        assert graph.rank_determining_set(0) == graph.chain_decomposition(0).anchors
+        assert graph.rank_determining_set(0) == (0, 1, 2)
+
+    def test_two_closed_chains_on_one_anchor(self):
+        assert TWO_LOOPS.chain_decomposition(0).anchors == (0, 1)
+        assert TWO_LOOPS.rank_determining_set(0) == (0, 1, 2, 4)
+
+    def test_shuffled_with_a_degree_2_q(self):
+        graph = shuffled(TWO_LOOPS, 1)
+        assert graph.vertices == ("x2", "y3", "y2", "x1", "a", "y1", "b")
+        assert graph.degrees[0] == 2
+        # q = x2 and b are the anchors; x1 is a chain from q to b; y3 is the
+        # lowest vertex of the loop at b, and a is held at b by a double edge
+        assert graph.rank_determining_set(0) == (0, 1, 4, 6)
+
+    def test_cached_per_root(self):
+        graph = shuffled(TWO_LOOPS, 1)
+        assert graph.rank_determining_set(0) is graph.rank_determining_set(0)
+        # at b, the only anchor there, all three chains close: x2-x1,
+        # y3-y2-y1 and a
+        assert graph.chain_decomposition(6).anchors == (6,)
+        assert graph.rank_determining_set(6) == (0, 1, 4, 6)
+
+
 class TestAnchorScreen:
     """Before its trials, rank_at_least rejects a class that is also
     v-reduced at an anchor v with D(v) < r.  The screen answers only False,
-    so every verdict must stay that of the definition."""
+    so every verdict must stay that of the definition.  The r = 1 trials
+    run over A alone, which these cases check too."""
 
     GRAPHS = [
         (f"{name}^({k})", refine(graph, k)[0])
@@ -717,6 +768,8 @@ class TestAnchorScreen:
     GRAPHS += [
         (name, graph) for name, graph in TestEnumerateClasses.CHAIN_GRAPHS if genus(graph) >= 2
     ]
+    # two closed chains on an anchor other than q
+    GRAPHS += [("two loops", TWO_LOOPS), ("two loops shuffled", shuffled(TWO_LOOPS, 1))]
     SAMPLE = 25
 
     @pytest.mark.parametrize("name,graph", GRAPHS)
@@ -738,28 +791,57 @@ class TestAnchorScreen:
             for r in range(1, min(3, coeffs[0]) + 1):
                 assert rank_at_least(graph, red, r) == (expected >= r), (coeffs, r)
 
-    # the level scan of random(5,8,1)^(2) at d = 3, r = 1: 1,261 classes and
-    # 133 rank checks, which ran 183 q-reductions before the screen
+    # the level scan of random(5,8,1)^(2) at d = 3, r = 1: 1,261 classes, of
+    # which 133 have D(q) >= 1; rank-checking each of them with no screen
+    # runs 183 q-reductions.  Screened once per anchor state, only the
+    # classes the screen passes reach rank_at_least and its trials over A.
     SCAN_REDUCTIONS_UNSCREENED = 183
-    SCAN_REDUCTIONS = 27
+    SCAN_REDUCTIONS = 11
+    SCAN_CHECKS_UNSCREENED = 133
+    SCAN_CHECKS = 3
 
     @staticmethod
     def g2():
         return refine(random_multigraph(5, 8, 1), 2)[0]
 
     def test_scan_reductions(self, monkeypatch):
-        calls = 0
-        original = divgraph.divisors._reduce_coeffs
+        calls = {"reduce": 0, "check": 0}
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
+        def counting(module, name, key):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", counting)
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(divgraph.divisors, "_reduce_coeffs", "reduce")
+        counting(divgraph.brill_noether, "rank_at_least", "check")
         witness, examined, _ = _search_one_level(self.g2(), 3, 1, None)
         assert examined == 1261 and witness.to_map() == {"v0": 2, "v1": 1}
-        assert calls == self.SCAN_REDUCTIONS < self.SCAN_REDUCTIONS_UNSCREENED
+        assert calls["reduce"] == self.SCAN_REDUCTIONS < self.SCAN_REDUCTIONS_UNSCREENED
+        assert calls["check"] == self.SCAN_CHECKS < self.SCAN_CHECKS_UNSCREENED
+
+    # distinct anchor states among those 133 classes
+    SCAN_STATES = 49
+
+    def test_scan_screens_each_anchor_state_once(self, monkeypatch):
+        graph = self.g2()
+        chain_of, _, _, anchors = graph.chain_decomposition(0)
+        states = []
+        screen = divgraph.brill_noether._anchor_screen
+
+        def recorder(graph, base, r):
+            states.append((
+                tuple(base[v] for v in anchors),
+                frozenset(chain_of[v] for v, a in enumerate(base) if a and chain_of[v]),
+            ))
+            return screen(graph, base, r)
+
+        monkeypatch.setattr(divgraph.brill_noether, "_anchor_screen", recorder)
+        _search_one_level(graph, 3, 1, None)
+        assert len(states) == len(set(states)) == self.SCAN_STATES < self.SCAN_CHECKS_UNSCREENED
 
     def test_rejected_class_runs_no_reduction(self, monkeypatch):
         graph = self.g2()

@@ -14,6 +14,7 @@ from divgraph.families import (
     random_multigraph,
     theta,
 )
+from divgraph.graphs import MAX_GRAPH_SIZE
 from divgraph.io import (
     divisor_to_doc,
     graph_to_doc,
@@ -89,6 +90,22 @@ class TestFamilySpecs:
     def test_rejects_malformed(self, bad):
         with pytest.raises(InvalidInputError):
             from_spec(bad)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "banana(100000000)", "cycle(100000000)", "theta(1,1,100000000)",
+            "chain(100000000)", "random(3,100000000,1)", "random(100000000,100000000,1)",
+        ],
+    )
+    def test_oversized_spec_fails_before_building(self, spec):
+        with pytest.raises(InvalidInputError, match="limit"):
+            from_spec(spec)
+
+    def test_size_limit_is_inclusive(self):
+        assert from_spec(f"banana({MAX_GRAPH_SIZE - 1})").num_edges == MAX_GRAPH_SIZE
+        with pytest.raises(InvalidInputError, match="limit"):
+            from_spec(f"banana({MAX_GRAPH_SIZE})")
 
 
 class TestGraphFiles:

@@ -20,6 +20,7 @@ from divgraph import (
     transport,
 )
 from divgraph.families import banana, cycle, theta
+from divgraph.graphs import MAX_GRAPH_SIZE
 
 from conftest import CORPUS, spanning_trees_bruteforce
 
@@ -197,6 +198,12 @@ class TestRefine:
     @pytest.mark.parametrize("k", [-1, True, 1.5])
     def test_index_must_be_a_non_negative_integer(self, k):
         with pytest.raises(InvalidInputError, match="refinement index k"):
+            refine(banana(1), k)
+
+    @pytest.mark.parametrize("k", [10**9, MAX_GRAPH_SIZE // 2])
+    def test_oversized_refinement_fails_before_building(self, k):
+        # banana(1) refined k times has 2 + 2k vertices and 2k + 2 edges
+        with pytest.raises(InvalidInputError, match="limit"):
             refine(banana(1), k)
 
     def test_inserted_name_colliding_with_a_vertex_rejected(self):
