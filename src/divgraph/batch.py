@@ -10,6 +10,7 @@ time field.
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 from typing import Union
@@ -187,6 +188,8 @@ def batch_run(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method starts every worker at the first submit
+        workers = min(jobs, len(work), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             write_all(pool.map(run_unit, work))
     return summary

@@ -317,11 +317,14 @@ def rank_at_least(
     For deg D > 2g - 2 the verdict is deg D - g >= r, as in :func:`rank`.
     Otherwise this checks |D - E| nonempty for every effective divisor E of
     degree r, and the scan short-circuits on the first failure.  For r = 1,
-    E = (v) ranges over :meth:`Multigraph.rank_determining_set` at q in
-    index order: the anchors of :meth:`Multigraph.chain_decomposition` and
-    one vertex of each closed chain, which settle the verdict exactly (Luo
-    2011, Hladky-Kral-Norine 2013).  For r >= 2, E ranges over size-r
-    vertex multisets in lexicographic index order.
+    E = (v) ranges over :meth:`Multigraph.rank_determining_set` at q: the
+    anchors of :meth:`Multigraph.chain_decomposition` and one vertex of
+    each closed chain, which settle the verdict exactly (Luo 2011,
+    Hladky-Kral-Norine 2013).  These trials run in decreasing BFS distance
+    from q, ties in index order, so a failing check mostly fails on its
+    first trial; every trial must pass, so the order never changes the
+    verdict.  For r >= 2, E ranges over size-r vertex multisets in
+    lexicographic index order.
 
     The first trial is E = r*(q) with q the vertex of index 0.  With base
     the q-reduced form of D, base - r*(q) is still q-reduced, so that trial
@@ -360,7 +363,12 @@ def rank_at_least(
     if _anchor_screen(graph, base, r):
         return False
     if r == 1:
-        trials: Iterable[Sequence[int]] = ((v,) for v in graph.rank_determining_set(qi))
+        # a q-reduced divisor sits near q: the vertex it cannot reach is
+        # most often a far one
+        far_first = sorted(
+            graph.rank_determining_set(qi), key=graph.bfs_distances(qi).__getitem__, reverse=True
+        )
+        trials: Iterable[Sequence[int]] = ((v,) for v in far_first)
     else:
         trials = itertools.combinations_with_replacement(range(len(graph.vertices)), r)
     for combo in trials:

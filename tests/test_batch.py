@@ -1,6 +1,8 @@
 """Batch runner: records, resumability, determinism, failure records."""
 
+import concurrent.futures
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -247,6 +249,41 @@ class TestBatchCli:
         first, second = read_records(out)
         assert first["theorem_bound"] == "rr-shortcut"
         assert second["theorem_bound"] == 1
+
+    @pytest.mark.parametrize(
+        "jobs,cpus,workers",
+        [("100000", 4, 4), ("100000", 64, 28), ("3", 64, 3), ("100000", None, 1)],
+    )
+    def test_pool_capped_at_units_and_cores(self, monkeypatch, tmp_path, jobs, cpus, workers):
+        # the fork start method starts every worker at the first submit, so
+        # the pool must not be larger than the work; the fake pool starts no
+        # process and maps in this one
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / "runs.jsonl"
+        argv = ["batch", "--config", str(FIXTURES / "batch_small.json"), "--out", str(out)]
+        assert main(argv + ["--jobs", jobs]) == 0
+        assert started == [workers]
+        records = read_records(out)
+        assert len(records) == 28 and all(r["verified"] is True for r in records)
+        # a resume with nothing to do builds no pool
+        assert main(argv + ["--jobs", jobs]) == 0
+        assert started == [workers]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_must_be_at_least_one(self, capsys, tmp_path, jobs):

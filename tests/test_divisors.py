@@ -892,6 +892,74 @@ class TestAnchorScreen:
         assert len(classes) == 9
 
 
+class TestTrialOrder:
+    """rank_at_least runs its r = 1 trials over A farthest from q first,
+    ties in index order.  Every trial must pass, so the order moves only
+    the work, never the verdict."""
+
+    GRAPHS = [
+        # v2 is held at v0 by a double edge: refined, a chain closing on q
+        ("random(5,8,7)^(1)", refine(random_multigraph(5, 8, 7), 1)[0]),
+        # q = x2 has degree 2, and two chains close on b
+        ("two loops^(1) shuffled", shuffled(refine(TWO_LOOPS, 1)[0], 1)),
+        ("random(5,8,7)^(1) shuffled", shuffled(refine(random_multigraph(5, 8, 7), 1)[0], 3)),
+    ]
+
+    @pytest.mark.parametrize("name,graph", GRAPHS)
+    def test_every_class_matches_definition(self, name, graph):
+        q = graph.vertices[0]
+        checks = 0
+        for d in range(1, 2 * genus(graph) - 1):
+            for coeffs in enumerate_classes(graph, q, d):
+                if coeffs[0] < 1:
+                    continue
+                red = ReducedDivisor(Divisor(graph, coeffs), q)
+                expected = definitional_rank(graph, red.divisor, top=1) >= 1
+                assert rank_at_least(graph, red, 1) == expected, coeffs
+                checks += 1
+        assert checks > 250
+
+    @pytest.mark.parametrize("name,graph", GRAPHS)
+    def test_trials_run_farthest_first(self, monkeypatch, name, graph):
+        # a class of rank >= 1 passes every trial, so all of A is tried
+        q = graph.vertices[0]
+        tried = []
+        effective = divgraph.divisors._effective_rep_raw
+
+        def recorder(graph, coeffs):
+            tried.append(next(v for v, (a, b) in enumerate(zip(coeffs, base)) if a != b))
+            return effective(graph, coeffs)
+
+        base = next(
+            coeffs
+            for coeffs in enumerate_classes(graph, q, genus(graph) - 1)
+            if coeffs[0] >= 1 and definitional_rank(graph, Divisor(graph, coeffs), top=1) >= 1
+        )
+        monkeypatch.setattr(divgraph.divisors, "_effective_rep_raw", recorder)
+        assert rank_at_least(graph, ReducedDivisor(Divisor(graph, base), q), 1)
+        dist = graph.bfs_distances(0)
+        assert sorted(tried) == list(graph.rank_determining_set(0))
+        assert [(-dist[v], v) for v in tried] == sorted((-dist[v], v) for v in tried)
+        assert tried != sorted(tried)
+
+    def test_scan_reductions(self, monkeypatch):
+        # random(6,9,1)^(2) at d = 3, r = 1: the failing checks that pass
+        # the screen mostly fail on their first, farthest trial (the same
+        # trials in index order would run 26 q-reductions)
+        reductions = []
+        reduce_coeffs = divgraph.divisors._reduce_coeffs
+
+        def counted(*args, **kwargs):
+            reductions.append(args)
+            return reduce_coeffs(*args, **kwargs)
+
+        monkeypatch.setattr(divgraph.divisors, "_reduce_coeffs", counted)
+        graph = refine(random_multigraph(6, 9, 1), 2)[0]
+        witness, examined, _ = _search_one_level(graph, 3, 1, None)
+        assert examined == 1567 and witness.to_map() == {"v0": 2, "v1": 1}
+        assert len(reductions) == 10
+
+
 class TestRiemannRoch:
     def test_zero_divisor_forces_canonical_rank(self, theta222):
         assert riemann_roch_residual(theta222, Divisor.zero(theta222)) == 0
