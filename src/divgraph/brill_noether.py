@@ -200,17 +200,22 @@ def _search_one_level(
     """Scan the degree-d classes of one refinement level for a rank->=r
     witness.  Returns (witness or None, classes examined, budget hit).
 
-    The enumeration yields coefficient tuples.  A class with D(q) < r is
-    examined but not rank-checked: it is q-reduced, so D - r*(q) is
-    q-reduced too and negative at q, hence not effective, and the rank is
-    below r; :func:`rank_at_least` would return the same verdict.
+    Every class of the level counts as examined, in the order of
+    :func:`enumerate_classes`, up to the witness or the budget.  Only a
+    class with D(q) >= r is rank-checked: a class with D(q) < r is
+    q-reduced, so D - r*(q) is q-reduced too and negative at q, hence not
+    effective, and the rank is below r; :func:`rank_at_least` would return
+    the same verdict.  So the scan walks with the threshold r, which
+    yields only those classes, each with its position among all the
+    classes, and counts the others without visiting them; the budget is
+    the walk's limit, so no count runs past it.
 
-    Every other class goes through the anchor screen first.  The screen
-    reads only its anchor state: the values at the anchors of
+    Every class the walk yields goes through the anchor screen first.  The
+    screen reads only its anchor state: the values at the anchors of
     :meth:`Multigraph.chain_decomposition` and the chip count of each
     chain, here one bit per chain.  Many classes of a level share a state,
     so the scan keeps the screen's verdict per state in ``screened``,
-    cleared at ``_MEMO_CAP`` entries like the walk's memo.  The screen only
+    cleared at ``_MEMO_CAP`` entries like the walk's memos.  The screen only
     rejects classes of rank below r, so only the classes it does not
     reject are built into a divisor, and they go to :func:`rank_at_least`
     as a :class:`ReducedDivisor`, so it does not reduce them again.
@@ -221,24 +226,24 @@ def _search_one_level(
     inner = [v for v, c in enumerate(chain_of) if c]
     bits = [1 << (chain_of[v] - 1) for v in inner]
     screened: dict[tuple, bool] = {}
-    examined = 0
-    for coeffs in enumerate_classes(graph, q, d):
-        if budget is not None and examined >= budget:
-            return None, examined, True
-        examined += 1
-        if coeffs[0] >= r:
-            # a q-reduced class holds 0 or 1 chip at each chain vertex
-            state = (anchor_values(coeffs), sum(compress(bits, map(coeffs.__getitem__, inner))))
-            rejected = screened.get(state)
-            if rejected is None:
-                if len(screened) >= _MEMO_CAP:
-                    screened.clear()
-                rejected = screened[state] = _anchor_screen(graph, coeffs, r)
-            if rejected:
-                continue
-            red = ReducedDivisor(Divisor(graph, coeffs), q)
-            if rank_at_least(graph, red, r):
-                return red.divisor, examined, False
+    for examined, coeffs in enumerate_classes(graph, q, d, r, budget):
+        if coeffs is None:
+            break
+        # a q-reduced class holds 0 or 1 chip at each chain vertex
+        state = (anchor_values(coeffs), sum(compress(bits, map(coeffs.__getitem__, inner))))
+        rejected = screened.get(state)
+        if rejected is None:
+            if len(screened) >= _MEMO_CAP:
+                screened.clear()
+            rejected = screened[state] = _anchor_screen(graph, coeffs, r)
+        if rejected:
+            continue
+        red = ReducedDivisor(Divisor(graph, coeffs), q)
+        if rank_at_least(graph, red, r):
+            return red.divisor, examined + 1, False
+    # the walk ends one past the budget if a class lies beyond it
+    if budget is not None and examined > budget:
+        return None, budget, True
     return None, examined, False
 
 

@@ -14,9 +14,10 @@ All operations are pure functions over immutable inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import EmptyOrFullSetError, IndexMismatchError, check_int
 from .graphs import Multigraph, RefinementMap, genus
@@ -487,14 +488,15 @@ def _anchors_burn(
     return not left
 
 
-# entries of an enumerate_classes burn memo, or of the level scan's screen
-# memo, before it is cleared
+# entries of an enumerate_classes burn or count memo, or of the level scan's
+# screen memo, before it is cleared
 _MEMO_CAP = 1 << 16
 
 
 def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
     """All superstable configurations with respect to q: the classes of
-    :func:`enumerate_classes` with 0 in the q slot, in the same order.
+    :func:`enumerate_classes` without a threshold, with 0 in the q slot,
+    in the same order.
 
     Full coefficient tuples inside the box 0 <= a_v <= degree(v) - 1 away
     from q, in lexicographic order of the off-q coordinates (canonical
@@ -506,9 +508,11 @@ def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
         yield coeffs[:qi] + (0,) + coeffs[qi + 1 :]
 
 
-def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, ...]]:
+def enumerate_classes(
+    graph: Multigraph, q: str, d: int, r: Optional[int] = None, limit: Optional[int] = None
+) -> Iterator[tuple]:
     """Every q-reduced divisor of degree d, exactly once, as its coefficient
-    tuple.
+    tuple; with a threshold r, only those whose q slot is at least r.
 
     One representative per linear-equivalence class; the count equals the
     spanning tree number of the graph, independently of d.  Away from q the
@@ -517,6 +521,14 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
     box 0 <= a_v <= degree(v) - 1; the q slot holds d minus their chips.
     Wrap a tuple as ``ReducedDivisor(Divisor(graph, coeffs), q)`` where a
     divisor is needed.
+
+    With a threshold r the walk yields ``(position, coeffs)`` pairs, in the
+    same order, for the classes with ``coeffs[q] >= r`` only: ``position``
+    is the class's 0-based index in the walk without a threshold.  A last
+    ``(total, None)`` follows them, where ``total`` is the number of
+    classes.  A ``limit``, read only with a threshold, ends the walk at
+    that position: it yields no position at or above ``limit``, and ends
+    with ``(limit + 1, None)`` if a class lies there.
 
     Superstables are closed downward (removing chips never stops a vertex
     from burning), so a prefix extends to a superstable iff the prefix
@@ -548,9 +560,23 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
     degree(v).  ``weight[v]`` is the lowest bit of the field or bit of v;
     a bump adds it and a reset subtracts the value cleared times it.  Each
     burn verdict is stored in ``memo`` under its key, and a key seen
-    before is decided without a burn.  The memo is cleared when it
-    reaches ``_MEMO_CAP`` entries, so its memory stays bounded on large
-    graphs.
+    before is decided without a burn.
+
+    Once a bump leaves ``spare <= r``, every class that adds chips right
+    of it holds fewer than r chips at q.  The walk counts that block of
+    classes instead of walking it, and goes on by bumping the same
+    coordinate again.  The count is a depth-first search with an explicit
+    stack, in which each class of the block branches on where its next
+    chip goes, right of its last one.  An anchor takes each value whose
+    burn passes.  A run of consecutive positions in one chip-free chain
+    takes its chip as one branch, weighted by the run's length, since the
+    burn sees only the chain's chip count.  So the number of classes below
+    a branch depends only on its first free position and its key, and
+    ``counts`` keeps it under both.  The count stops as soon as it passes
+    what ``limit`` leaves.
+
+    ``memo`` and ``counts`` are cleared when they reach ``_MEMO_CAP``
+    entries, so their memory stays bounded on large graphs.
     """
     qi = graph.vertex_index(q, "base vertex")
     degrees = graph.degrees
@@ -565,14 +591,113 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
             shift += degrees[v].bit_length()
     key = 0
     memo: dict[int, bool] = {}
+    counts: dict[int, int] = {}
     order = [i for i in range(len(graph.vertices)) if i != qi]
-    order.reverse()
+    size = len(order)
+    # the chain bit at each position (0 at an anchor), and the end of the
+    # run of consecutive positions in the same chain from there on
+    bit = [weight[v] if chain_of[v] else 0 for v in order]
+    run_end = list(range(1, size + 1))
+    for p in range(size - 2, -1, -1):
+        if bit[p] and bit[p + 1] == bit[p]:
+            run_end[p] = run_end[p + 1]
     coeffs = [0] * len(graph.vertices)
     spare = d
+    if limit is None:
+        limit = math.inf
+
+    def burns(key: int) -> bool:
+        verdict = memo.get(key)
+        if verdict is None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            verdict = memo[key] = _anchors_burn(links, coeffs, chips, qi, anchors)
+        return verdict
+
+    def count(p: int, key: int, cap: float) -> int:
+        """The superstables that agree with ``coeffs`` before position p,
+        if there are at most ``cap`` of them, else a number above cap."""
+        total = 0
+        mult = w = 1
+        # open classes: [next position, key, multiplier, count so far,
+        # value at the next position, weight, first free position]
+        frames: list[list[int]] = []
+        while True:
+            s = 1 if p == size else counts.get(key * (size + 1) + p)
+            if s is None:
+                frames.append([p, key, mult, 1, 0, w, p])
+                total += mult
+            else:
+                total += mult * s
+                if not frames:
+                    return total
+                frames[-1][3] += w * s
+            if total > cap:
+                return total
+            while True:
+                frame = frames[-1]
+                p, key, mult, acc, a, w, start = frame
+                while p < size:
+                    v = order[p]
+                    c = chain_of[v]
+                    if c:
+                        if a:
+                            chips[c] = a = 0
+                        elif not key & bit[p]:
+                            chips[c] = 1
+                            if burns(key + bit[p]):
+                                a = 1
+                                break
+                            chips[c] = 0
+                        p = run_end[p]
+                    else:
+                        a += 1
+                        if a < degrees[v]:
+                            coeffs[v] = a
+                            if burns(key + a * weight[v]):
+                                break
+                        coeffs[v] = a = 0
+                        p += 1
+                else:
+                    if len(counts) >= _MEMO_CAP:
+                        counts.clear()
+                    counts[key * (size + 1) + start] = acc
+                    frames.pop()
+                    if not frames:
+                        return acc
+                    frames[-1][3] += w * acc
+                    continue
+                frame[0], frame[4] = p, a
+                break
+            if c:
+                p, key, w = run_end[p], key + bit[p], run_end[p] - p
+            else:
+                p, key, w = p + 1, key + a * weight[v], 1
+            mult *= w
+
+    position = 0
+    j = -1  # the position of the last bump: none yet
     while True:
         coeffs[qi] = spare
-        yield tuple(coeffs)
-        for v in order:
+        if r is None:
+            yield tuple(coeffs)
+            j = size - 1
+        else:
+            if spare >= r:
+                if position == limit:
+                    yield limit + 1, None
+                    return
+                yield position, tuple(coeffs)
+            if spare > r:
+                position += 1
+                j = size - 1
+            else:
+                position += count(j + 1, key, limit - position)
+                if position > limit:
+                    yield limit + 1, None
+                    return
+        for j in range(j, -1, -1):
+            v = order[j]
             c = chain_of[v]
             a = coeffs[v]
             # a chain vertex has degree 2, and takes a chip only while its
@@ -584,18 +709,15 @@ def enumerate_classes(graph: Multigraph, q: str, d: int) -> Iterator[tuple[int, 
                     chips[c] = 1
                 spare -= 1
                 key += weight[v]
-                burns = memo.get(key)
-                if burns is None:
-                    if len(memo) >= _MEMO_CAP:
-                        memo.clear()
-                    burns = memo[key] = _anchors_burn(links, coeffs, chips, qi, anchors)
-                if burns:
+                if burns(key):
                     break
             if a:
                 coeffs[v] = chips[c] = 0
                 spare += a
                 key -= a * weight[v]
         else:
+            if r is not None:
+                yield position, None
             return
 
 

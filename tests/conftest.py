@@ -10,6 +10,7 @@ and q-reducedness is tested by scanning all vertex subsets for a fireable set.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,3 +154,10 @@ def superstable_by_subsets(graph: Multigraph, qi: int) -> list[tuple[int, ...]]:
         if is_reduced_by_subsets(graph, coeffs, qi):
             found.append(tuple(coeffs))
     return found
+
+
+def shuffled(graph: Multigraph, seed: int) -> Multigraph:
+    """The same graph with its vertex order permuted."""
+    vertices = list(graph.vertices)
+    random.Random(seed).shuffle(vertices)
+    return build_graph(vertices, graph.edges)

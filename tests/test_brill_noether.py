@@ -1,5 +1,6 @@
 """Brill-Noether numbers, bounds and the bounded existence search."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,7 @@ import divgraph.divisors
 from divgraph import (
     RR_SHORTCUT,
     Divisor,
+    ReducedDivisor,
     InvalidInputError,
     NegativeRhoError,
     PreconditionViolatedError,
@@ -30,11 +32,12 @@ from divgraph import (
     rank_at_least,
     refine,
     rho,
+    superstable_configs,
 )
-from divgraph.brill_noether import legacy_bound_min_digits
+from divgraph.brill_noether import _search_one_level, legacy_bound_min_digits
 from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
-from conftest import path3  # noqa: F401  (fixture)
+from conftest import path3, shuffled  # noqa: F401  (path3 is a fixture)
 
 
 class TestRho:
@@ -442,6 +445,81 @@ class TestRefinedPins:
         result = gonality_search(refined(base, k, reverse), 1, 4)
         assert (result.found, result.d, result.classes_examined) == (True, d, examined)
         assert result.witness.to_map() == witness
+
+
+def reference_scan(graph, d, r, budget):
+    """The level scan that walks every class and rank-checks each class
+    with D(q) >= r, the scan the pruned walk replaces."""
+    q = graph.vertices[0]
+    examined = 0
+    for coeffs in enumerate_classes(graph, q, d):
+        if budget is not None and examined >= budget:
+            return None, examined, True
+        examined += 1
+        if coeffs[0] >= r:
+            red = ReducedDivisor(Divisor(graph, coeffs), q)
+            if rank_at_least(graph, red, r):
+                return red.divisor, examined, False
+    return None, examined, False
+
+
+class TestPrunedLevelScan:
+    """The level scan walks only the classes with D(q) >= r and counts the
+    others; witnesses, class counts and budget exits are those of the
+    scan over every class."""
+
+    GRAPHS = [
+        (f"random(4,6,{s})^({k})", refine(random_multigraph(4, 6, s), k)[0])
+        for s in (1, 2)
+        for k in (0, 1, 2)
+    ]
+    # v2 is held at v0 by a double edge: a closed chain
+    GRAPHS += [("random(5,8,7)", random_multigraph(5, 8, 7))]
+    GRAPHS += [(f"{name} shuffled", shuffled(graph, 5)) for name, graph in GRAPHS]
+
+    @pytest.mark.parametrize("name,graph", GRAPHS)
+    def test_matches_reference_scan(self, name, graph):
+        q = graph.vertices[0]
+        for d in range(2 * genus(graph)):
+            full = list(enumerate_classes(graph, q, d))
+            for r in range(4):
+                # the walk with a threshold: the same classes at their
+                # positions in the full walk, then the class count
+                assert list(enumerate_classes(graph, q, d, r)) == [
+                    (i, coeffs) for i, coeffs in enumerate(full) if coeffs[0] >= r
+                ] + [(len(full), None)]
+                witness, examined, _ = reference_scan(graph, d, r, None)
+                budgets = {0, examined - 1, examined, examined + 1, len(full) - 1, len(full)}
+                # a budget inside a counted block: classes budget - 1 and
+                # budget both have D(q) < r
+                budgets.update(
+                    itertools.islice(
+                        (i for i in range(1, len(full)) if full[i - 1][0] < r > full[i][0]), 1
+                    )
+                )
+                for budget in [None, *sorted(b for b in budgets if b >= 0)]:
+                    assert _search_one_level(graph, d, r, budget) == reference_scan(
+                        graph, d, r, budget
+                    ), (d, r, budget)
+
+    # sha256 of the walk without a threshold on random(5,8,7)^(1) and a
+    # shuffle of it, from the walk that had no threshold parameter
+    UNPRUNED_WALK = "03ecdc1ebc9c80f9b89f2f8cee0f5ebf9af9df8e4cc4b7fec2c75f5d1bd25058"
+
+    def test_walk_without_threshold_is_unchanged(self):
+        digest = hashlib.sha256()
+        graph = refine(random_multigraph(5, 8, 7), 1)[0]
+        for g in (graph, shuffled(graph, 5)):
+            for q in g.vertices[:3]:
+                digest.update(repr(list(superstable_configs(g, q))).encode())
+                for d in (-1, 2, 7):
+                    digest.update(repr(list(enumerate_classes(g, q, d))).encode())
+        assert digest.hexdigest() == self.UNPRUNED_WALK
+
+    def test_count_is_flat_and_bounded(self):
+        # the zero class already has D(q) = r, so the count runs one chip
+        # per anchor deep, past the recursion limit, over 2^1100 classes
+        assert _search_one_level(chain_of_loops(1100), 1, 1, 1200) == (None, 1200, True)
 
 
 class TestGonality:

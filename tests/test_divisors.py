@@ -44,6 +44,7 @@ from conftest import (
     equivalent_oracle,
     is_principal_oracle,
     is_reduced_by_subsets,
+    shuffled,
     superstable_by_subsets,
 )
 
@@ -60,13 +61,6 @@ def definitional_rank(graph, d, top=None):
     ):
         r += 1
     return r
-
-
-def shuffled(graph, seed):
-    """The same graph with its vertex order permuted."""
-    vertices = list(graph.vertices)
-    random.Random(seed).shuffle(vertices)
-    return build_graph(vertices, graph.edges)
 
 
 class TestFireSet:
@@ -695,6 +689,23 @@ class TestEnumerateClasses:
         assert configs == expected
         assert len(states) > len(set(states)) == self.WALK_BURNS
 
+    @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
+    def test_threshold_with_a_tiny_memo(self, monkeypatch, name, graph):
+        # the walk with a threshold yields the classes with D(q) >= r at
+        # their positions in the full walk, and counts the others; the
+        # burn and count memos are cleared after every second entry
+        monkeypatch.setattr(divgraph.divisors, "_MEMO_CAP", 2)
+        for q in graph.vertices:
+            qi = graph.vertex_index(q)
+            full = list(enumerate_classes(graph, q, 2))
+            for r in range(4):
+                kept = [(i, c) for i, c in enumerate(full) if c[qi] >= r] + [(len(full), None)]
+                assert list(enumerate_classes(graph, q, 2, r)) == kept
+                for limit in range(len(full) + 1):
+                    *items, (end, last) = enumerate_classes(graph, q, 2, r, limit)
+                    assert last is None and items == [(i, c) for i, c in kept[:-1] if i < limit]
+                    assert end == min(len(full), limit + 1)
+
     def test_long_cycle_has_no_recursion_limit(self):
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
         zero = (0,) * 1100
@@ -822,6 +833,24 @@ class TestAnchorScreen:
         assert examined == 1261 and witness.to_map() == {"v0": 2, "v1": 1}
         assert calls["reduce"] == self.SCAN_REDUCTIONS < self.SCAN_REDUCTIONS_UNSCREENED
         assert calls["check"] == self.SCAN_CHECKS < self.SCAN_CHECKS_UNSCREENED
+
+    def test_scan_walks_only_the_classes_it_can_check(self, monkeypatch):
+        # the walk yields the 133 classes with D(q) >= 1 up to the witness
+        # and counts the other 1,128 without visiting them
+        yielded = []
+        walk = divgraph.brill_noether.enumerate_classes
+
+        def recorder(*args):
+            for item in walk(*args):
+                yielded.append(item)
+                yield item
+
+        monkeypatch.setattr(divgraph.brill_noether, "enumerate_classes", recorder)
+        witness, examined, _ = _search_one_level(self.g2(), 3, 1, None)
+        assert examined == 1261 and witness.to_map() == {"v0": 2, "v1": 1}
+        assert len(yielded) == self.SCAN_CHECKS_UNSCREENED
+        assert yielded[-1][0] == examined - 1
+        assert all(coeffs[0] >= 1 for _, coeffs in yielded)
 
     # distinct anchor states among those 133 classes
     SCAN_STATES = 49
