@@ -10,21 +10,10 @@ the bound looking for a witness divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import factorial, prod
-from operator import itemgetter
 from typing import Optional, Union
 
-from .divisors import (
-    _MEMO_CAP,
-    Divisor,
-    ReducedDivisor,
-    _anchor_screen,
-    enumerate_classes,
-    rank_at_least,
-    reduce,
-    vertex_divisor,
-)
+from .divisors import Divisor, enumerate_classes, rank_at_least, reduce, vertex_divisor
 from .errors import (
     InvalidInputError,
     NegativeRhoError,
@@ -201,46 +190,22 @@ def _search_one_level(
     witness.  Returns (witness or None, classes examined, budget hit).
 
     Every class of the level counts as examined, in the order of
-    :func:`enumerate_classes`, up to the witness or the budget.  Only a
-    class with D(q) >= r is rank-checked: a class with D(q) < r is
-    q-reduced, so D - r*(q) is q-reduced too and negative at q, hence not
-    effective, and the rank is below r; :func:`rank_at_least` would return
-    the same verdict.  So the scan walks with the threshold r, which
-    yields only those classes, each with its position among all the
-    classes, and counts the others without visiting them; the budget is
-    the walk's limit, so no count runs past it.
-
-    Every class the walk yields goes through the anchor screen first.  The
-    screen reads only its anchor state: the values at the anchors of
-    :meth:`Multigraph.chain_decomposition` and the chip count of each
-    chain, here one bit per chain.  Many classes of a level share a state,
-    so the scan keeps the screen's verdict per state in ``screened``,
-    cleared at ``_MEMO_CAP`` entries like the walk's memos.  The screen only
-    rejects classes of rank below r, so only the classes it does not
-    reject are built into a divisor, and they go to :func:`rank_at_least`
-    as a :class:`ReducedDivisor`, so it does not reduce them again.
+    :func:`enumerate_classes`, up to the witness or the budget.  The scan
+    walks with the threshold r, which yields each class it keeps at its
+    position among all the classes.  It keeps only the classes with
+    D(q) >= r that the anchor screen does not reject.  Every class it
+    leaves out has rank below r, the verdict :func:`rank_at_least` would
+    return: a class with D(q) < r is q-reduced, so D - r*(q) is q-reduced
+    too and negative at q, hence not effective.  The budget is the walk's
+    limit, so no count runs past it.  Only the classes the walk yields are
+    built into a divisor and rank-checked.
     """
-    q = graph.vertices[0]
-    chain_of, _, _, anchors = graph.chain_decomposition(0)
-    anchor_values = itemgetter(*anchors)
-    inner = [v for v, c in enumerate(chain_of) if c]
-    bits = [1 << (chain_of[v] - 1) for v in inner]
-    screened: dict[tuple, bool] = {}
-    for examined, coeffs in enumerate_classes(graph, q, d, r, budget):
+    for examined, coeffs in enumerate_classes(graph, graph.vertices[0], d, r, budget):
         if coeffs is None:
             break
-        # a q-reduced class holds 0 or 1 chip at each chain vertex
-        state = (anchor_values(coeffs), sum(compress(bits, map(coeffs.__getitem__, inner))))
-        rejected = screened.get(state)
-        if rejected is None:
-            if len(screened) >= _MEMO_CAP:
-                screened.clear()
-            rejected = screened[state] = _anchor_screen(graph, coeffs, r)
-        if rejected:
-            continue
-        red = ReducedDivisor(Divisor(graph, coeffs), q)
-        if rank_at_least(graph, red, r):
-            return red.divisor, examined + 1, False
+        divisor = Divisor(graph, coeffs)
+        if rank_at_least(graph, divisor, r):
+            return divisor, examined + 1, False
     # the walk ends one past the budget if a class lies beyond it
     if budget is not None and examined > budget:
         return None, budget, True

@@ -166,7 +166,7 @@ def _cmd_refine(args) -> tuple[dict, int]:
 def _cmd_reduce(args) -> tuple[dict, int]:
     name, graph = resolve_graph(args.graph)
     div = load_divisor(args.divisor, graph)
-    q = args.q or graph.vertices[0]
+    q = graph.vertices[0] if args.q is None else args.q
     red = reduce(graph, div, q)
     return {
         "graph": name,

@@ -17,9 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import EmptyOrFullSetError, IndexMismatchError, check_int
+from .errors import EmptyOrFullSetError, IndexMismatchError, InvalidInputError, check_int
 from .graphs import Multigraph, RefinementMap, genus
 
 
@@ -101,9 +101,8 @@ class ReducedDivisor:
 
     Invariant: non-negative at every vertex other than ``base``, and Dhar's
     burning process from ``base`` burns the whole graph.  Produced by
-    :func:`reduce`, and by the search's level scan around the tuples of
-    :func:`enumerate_classes` it rank-checks; each linear-equivalence class
-    has exactly one such representative.
+    :func:`reduce`; each linear-equivalence class has exactly one such
+    representative.  Pass its ``divisor`` where a divisor is needed.
     """
 
     divisor: Divisor
@@ -239,9 +238,12 @@ def _reduce_coeffs(
 
 
 def _require_graph(graph: Multigraph, divisor: Divisor) -> None:
-    """Raise :class:`IndexMismatchError` unless the divisor is indexed by
-    the graph.  Identity is tested first, so the usual case costs no
+    """Raise :class:`InvalidInputError` unless ``divisor`` is a
+    :class:`Divisor`, and :class:`IndexMismatchError` unless it is indexed
+    by the graph.  Identity is tested first, so the usual case costs no
     comparison of vertex and edge tuples."""
+    if not isinstance(divisor, Divisor):
+        raise InvalidInputError(f"expected a Divisor, got {type(divisor).__name__}")
     if divisor.graph is not graph and divisor.graph != graph:
         raise IndexMismatchError("divisor is not indexed by this graph")
 
@@ -255,7 +257,8 @@ def _base_index(graph: Multigraph, divisor: Divisor, q: str) -> int:
 
 def reduce(graph: Multigraph, divisor: Divisor, q: str) -> ReducedDivisor:
     """The unique q-reduced divisor linearly equivalent to ``divisor``."""
-    coeffs = _reduce_coeffs(graph, list(divisor.coeffs), _base_index(graph, divisor, q))
+    qi = _base_index(graph, divisor, q)
+    coeffs = _reduce_coeffs(graph, list(divisor.coeffs), qi)
     return ReducedDivisor(Divisor(graph, tuple(coeffs)), q)
 
 
@@ -310,42 +313,16 @@ def _effective_rep_raw(graph: Multigraph, coeffs: list[int]) -> bool:
     return _reduce_coeffs(graph, coeffs, j, until_effective=True)[j] >= 0
 
 
-def rank_at_least(
-    graph: Multigraph, divisor: Union[Divisor, ReducedDivisor], r: int
-) -> bool:
+def rank_at_least(graph: Multigraph, divisor: Divisor, r: int) -> bool:
     """Whether the Baker-Norine rank is at least r.
 
     For deg D > 2g - 2 the verdict is deg D - g >= r, as in :func:`rank`.
-    Otherwise this checks |D - E| nonempty for every effective divisor E of
-    degree r, and the scan short-circuits on the first failure.  For r = 1,
-    E = (v) ranges over :meth:`Multigraph.rank_determining_set` at q: the
-    anchors of :meth:`Multigraph.chain_decomposition` and one vertex of
-    each closed chain, which settle the verdict exactly (Luo 2011,
-    Hladky-Kral-Norine 2013).  These trials run in decreasing BFS distance
-    from q, ties in index order, so a failing check mostly fails on its
-    first trial; every trial must pass, so the order never changes the
-    verdict.  For r >= 2, E ranges over size-r vertex multisets in
-    lexicographic index order.
-
-    The first trial is E = r*(q) with q the vertex of index 0.  With base
-    the q-reduced form of D, base - r*(q) is still q-reduced, so that trial
-    fails iff base(q) < r; the check ``base[qi] < r`` returns that verdict
-    without reducing the trial.  Before the other trials,
-    :func:`_anchor_screen` rejects most failing checks without a reduction.
-
-    ``divisor`` may also be a :class:`ReducedDivisor`, as the search's
-    level scan passes each class of :func:`enumerate_classes` it checks,
-    and :func:`_scan_rank` the divisor it reduced.
-    Based at q, its coefficients are the q-reduced form already and serve
-    as base without a reduction; its invariant is trusted, not re-checked.
-    Based at any other vertex, its divisor is reduced like a plain one.
-    A divisor of another graph raises :class:`IndexMismatchError`.
+    Otherwise D is reduced at the vertex of index 0 and :func:`_rank_core`
+    runs the trials.  No anchor screen runs here: the threshold walk of
+    :func:`enumerate_classes` and :func:`_scan_rank` screen before they
+    check.  A divisor of another graph raises :class:`IndexMismatchError`.
     """
     check_int(r, "r", 0)
-    if isinstance(divisor, ReducedDivisor):
-        reduced, divisor = divisor.base == graph.vertices[0], divisor.divisor
-    else:
-        reduced = False
     _require_graph(graph, divisor)
     d = divisor.degree
     if d < r:
@@ -353,21 +330,34 @@ def rank_at_least(
     g = genus(graph)
     if d > 2 * g - 2:
         return d - g >= r
-    qi = 0
-    base = list(divisor.coeffs)
-    if not reduced:
-        _reduce_coeffs(graph, base, qi)
-    if base[qi] < r:
+    return _rank_core(graph, _reduce_coeffs(graph, list(divisor.coeffs), 0), r)
+
+
+def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
+    """Whether the q-reduced coefficients ``base`` (q the vertex of index 0)
+    have rank at least r: |D - E| is nonempty for every effective divisor E
+    of degree r, and the scan short-circuits on the first failure.
+
+    The first trial is E = r*(q): base - r*(q) is still q-reduced, so that
+    trial fails iff base(q) < r, which is checked without a reduction.  For
+    r = 1, E = (v) ranges over :meth:`Multigraph.rank_determining_set` at
+    q: the anchors of :meth:`Multigraph.chain_decomposition` and one vertex
+    of each closed chain, which settle the verdict exactly (Luo 2011,
+    Hladky-Kral-Norine 2013).  These trials run in decreasing BFS distance
+    from q, ties in index order, so a failing check mostly fails on its
+    first trial; every trial must pass, so the order never changes the
+    verdict.  For r >= 2, E ranges over size-r vertex multisets in
+    lexicographic index order.
+    """
+    if base[0] < r:
         return False
     if r == 0:
         return True
-    if _anchor_screen(graph, base, r):
-        return False
     if r == 1:
         # a q-reduced divisor sits near q: the vertex it cannot reach is
         # most often a far one
         far_first = sorted(
-            graph.rank_determining_set(qi), key=graph.bfs_distances(qi).__getitem__, reverse=True
+            graph.rank_determining_set(0), key=graph.bfs_distances(0).__getitem__, reverse=True
         )
         trials: Iterable[Sequence[int]] = ((v,) for v in far_first)
     else:
@@ -381,34 +371,34 @@ def rank_at_least(
     return True
 
 
-def _anchor_screen(graph: Multigraph, base: Sequence[int], r: int) -> bool:
-    """True when the q-reduced coefficients ``base`` (q the vertex of index
-    0) provably have rank below r, by one anchor-graph burn per anchor.
+def _anchor_screen(
+    graph: Multigraph, qi: int, coeffs: Sequence[int], chips: Sequence[int], r: int
+) -> bool:
+    """True when the q-reduced coefficients ``coeffs``, with q the vertex of
+    index qi and ``coeffs[qi] >= r``, provably have rank below r, by one
+    anchor-graph burn per anchor v with coeffs[v] < r.
 
     Take the anchors and degree-2 chains of
-    :meth:`Multigraph.chain_decomposition` at q.  A q-reduced base holds at
-    most one chip per chain, so Dhar's burn from an anchor v burns the
-    whole graph iff the burn on the anchor graph, fed the chip count of
-    each chain, reaches every anchor.  Base is then v-reduced as well, and
-    if base(v) < r the trial r*(v) leaves a v-reduced divisor negative at
-    v: the rank is below r.  A False answer decides nothing.  q burns only
-    once its heat, at most deg(q), exceeds base(q), so the screen answers
-    False at once when base(q) >= deg(q), as in most checks of r >= 3.
+    :meth:`Multigraph.chain_decomposition` at q; ``chips`` holds the chip
+    count of each chain by chain id, and 0 at id 0.  A q-reduced divisor
+    holds at most one chip per chain, so Dhar's burn from an anchor v burns
+    the whole graph iff the burn on the anchor graph reaches every anchor.
+    The divisor is then v-reduced as well, and if coeffs[v] < r the trial
+    r*(v) leaves a v-reduced divisor negative at v: the rank is below r.  A
+    False answer decides nothing.  q burns only once its heat, at most
+    deg(q), exceeds coeffs[qi], so the screen answers False at once when
+    coeffs[qi] >= deg(q), as in most checks of r >= 3.
 
     The answer reads only the values at the anchors and the chip count of
-    each chain, so the level scan keeps it per such anchor state.
+    each chain (Hladky-Kral-Norine 2013), the state that
+    :func:`enumerate_classes` keeps as its walk key.
     """
-    if base[0] >= graph.degrees[0]:
+    if coeffs[qi] >= graph.degrees[qi]:
         return False
-    chain_of, links, chains, anchors = graph.chain_decomposition(0)
-    starts = [v for v in anchors if base[v] < r]
-    if not starts:
-        return False
-    chips = [0] * (chains + 1)
-    for v, c in enumerate(chain_of):
-        if c:
-            chips[c] += base[v]
-    return any(_anchors_burn(links, base, chips, v, len(anchors)) for v in starts)
+    _, links, _, anchors = graph.chain_decomposition(qi)
+    return any(
+        coeffs[v] < r and _anchors_burn(links, coeffs, chips, v, len(anchors)) for v in anchors
+    )
 
 
 def rank(graph: Multigraph, divisor: Divisor) -> int:
@@ -432,21 +422,32 @@ def rank(graph: Multigraph, divisor: Divisor) -> int:
 
 
 def _scan_rank(graph: Multigraph, divisor: Divisor) -> int:
-    """The Baker-Norine rank by the definition: the largest r with
-    :func:`rank_at_least`, raised one step at a time from -1 on the
-    divisor's reduced form at the first vertex, so no step reduces the
-    divisor again.  Two shortcuts, both validated against the definition in
-    the test suite: rank never exceeds the degree, and for deg D > 2g - 2
-    the rank equals deg D - g exactly (Riemann-Roch)."""
+    """The Baker-Norine rank by the definition: the largest r whose
+    :func:`_anchor_screen` passes and whose :func:`_rank_core` holds,
+    raised one step at a time from -1 on the divisor's reduced form at the
+    first vertex, so no step reduces the divisor again.  That form caps the
+    rank at its value at the first vertex.  Two shortcuts, both validated
+    against the definition in the test suite: rank never exceeds the
+    degree, and for deg D > 2g - 2 the rank equals deg D - g exactly
+    (Riemann-Roch)."""
     d = divisor.degree
     if d < 0:
         return -1
     g = genus(graph)
     if d > 2 * g - 2:
         return d - g
-    reduced = reduce(graph, divisor, graph.vertices[0])
+    base = _reduce_coeffs(graph, list(divisor.coeffs), 0)
+    chain_of, _, chains, _ = graph.chain_decomposition(0)
+    chips = [0] * (chains + 1)
+    for v, c in enumerate(chain_of):
+        if c:
+            chips[c] += base[v]
     r = -1
-    while r < d and rank_at_least(graph, reduced, r + 1):
+    while (
+        r < base[0]
+        and not _anchor_screen(graph, 0, base, chips, r + 1)
+        and _rank_core(graph, base, r + 1)
+    ):
         r += 1
     return r
 
@@ -488,8 +489,8 @@ def _anchors_burn(
     return not left
 
 
-# entries of an enumerate_classes burn or count memo, or of the level scan's
-# screen memo, before it is cleared
+# entries of an enumerate_classes burn, count or screen memo before it is
+# cleared
 _MEMO_CAP = 1 << 16
 
 
@@ -512,21 +513,21 @@ def enumerate_classes(
     graph: Multigraph, q: str, d: int, r: Optional[int] = None, limit: Optional[int] = None
 ) -> Iterator[tuple]:
     """Every q-reduced divisor of degree d, exactly once, as its coefficient
-    tuple; with a threshold r, only those whose q slot is at least r.
+    tuple; with a threshold r, only those that may have rank r or more.
 
     One representative per linear-equivalence class; the count equals the
     spanning tree number of the graph, independently of d.  Away from q the
     tuples are the superstable configurations, in lexicographic order of
     the off-q coordinates (canonical vertex order, q skipped) inside the
     box 0 <= a_v <= degree(v) - 1; the q slot holds d minus their chips.
-    Wrap a tuple as ``ReducedDivisor(Divisor(graph, coeffs), q)`` where a
-    divisor is needed.
+    Wrap a tuple as ``Divisor(graph, coeffs)`` where a divisor is needed.
 
     With a threshold r the walk yields ``(position, coeffs)`` pairs, in the
-    same order, for the classes with ``coeffs[q] >= r`` only: ``position``
-    is the class's 0-based index in the walk without a threshold.  A last
-    ``(total, None)`` follows them, where ``total`` is the number of
-    classes.  A ``limit``, read only with a threshold, ends the walk at
+    same order, only for the classes with ``coeffs[q] >= r`` that
+    :func:`_anchor_screen` does not reject: every other class has rank
+    below r.  ``position`` is the class's 0-based index in the walk without
+    a threshold.  A last ``(total, None)`` follows them, where ``total`` is
+    the number of classes.  A ``limit``, read only with a threshold, ends the walk at
     that position: it yields no position at or above ``limit``, and ends
     with ``(limit + 1, None)`` if a class lies there.
 
@@ -575,8 +576,10 @@ def enumerate_classes(
     ``counts`` keeps it under both.  The count stops as soon as it passes
     what ``limit`` leaves.
 
-    ``memo`` and ``counts`` are cleared when they reach ``_MEMO_CAP``
-    entries, so their memory stays bounded on large graphs.
+    The screen reads the same state as the anchor burn, and ``key`` fixes
+    the q slot too, so ``screened`` keeps the screen's verdict per key.
+    ``memo``, ``counts`` and ``screened`` are cleared when they reach
+    ``_MEMO_CAP`` entries, so their memory stays bounded on large graphs.
     """
     qi = graph.vertex_index(q, "base vertex")
     degrees = graph.degrees
@@ -592,6 +595,7 @@ def enumerate_classes(
     key = 0
     memo: dict[int, bool] = {}
     counts: dict[int, int] = {}
+    screened: dict[int, bool] = {}
     order = [i for i in range(len(graph.vertices)) if i != qi]
     size = len(order)
     # the chain bit at each position (0 at an anchor), and the end of the
@@ -687,7 +691,13 @@ def enumerate_classes(
                 if position == limit:
                     yield limit + 1, None
                     return
-                yield position, tuple(coeffs)
+                rejected = screened.get(key)
+                if rejected is None:
+                    if len(screened) >= _MEMO_CAP:
+                        screened.clear()
+                    rejected = screened[key] = _anchor_screen(graph, qi, coeffs, chips, r)
+                if not rejected:
+                    yield position, tuple(coeffs)
             if spare > r:
                 position += 1
                 j = size - 1
@@ -729,6 +739,7 @@ def riemann_roch_residual(graph: Multigraph, divisor: Divisor) -> int:
     The oracle checks something only for 0 <= deg D <= 2g - 2: outside
     that range :func:`_scan_rank` answers -1 on one side and deg - g on
     the other, so the residual is zero by construction there too."""
+    _require_graph(graph, divisor)
     k = canonical(graph)
     return (
         _scan_rank(graph, divisor)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from divgraph import Divisor, Multigraph, build_graph, laplacian
+from divgraph import Divisor, Multigraph, build_graph, enumerate_classes, is_reduced, laplacian
 from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
 RANDOM_SEEDS = (101, 202, 303)
@@ -154,6 +154,34 @@ def superstable_by_subsets(graph: Multigraph, qi: int) -> list[tuple[int, ...]]:
         if is_reduced_by_subsets(graph, coeffs, qi):
             found.append(tuple(coeffs))
     return found
+
+
+def screened_walk(graph: Multigraph, q: str, d: int, r: int) -> list[tuple]:
+    """What ``enumerate_classes(graph, q, d, r)`` yields, filtered from the
+    walk without a threshold: the classes with D(q) >= r that are not also
+    v-reduced at an anchor v of ``chain_decomposition(q)`` with D(v) < r,
+    each at its position, then the end item."""
+    qi = graph.vertex_index(q)
+    anchors = graph.chain_decomposition(qi).anchors
+    full = list(enumerate_classes(graph, q, d))
+    kept = [
+        (i, coeffs)
+        for i, coeffs in enumerate(full)
+        if coeffs[qi] >= r
+        and not any(
+            coeffs[v] < r and is_reduced(graph, Divisor(graph, coeffs), graph.vertices[v])
+            for v in anchors
+        )
+    ]
+    return kept + [(len(full), None)]
+
+
+def cut_walk(items: list[tuple], limit: int) -> list[tuple]:
+    """The items of a threshold walk, end item last, as the walk with
+    ``limit`` yields them: no position at or above ``limit``, then
+    ``(limit + 1, None)`` if a class lies there."""
+    *kept, (total, _) = items
+    return [(i, coeffs) for i, coeffs in kept if i < limit] + [(min(total, limit + 1), None)]
 
 
 def shuffled(graph: Multigraph, seed: int) -> Multigraph:

@@ -12,7 +12,6 @@ import divgraph.divisors
 from divgraph import (
     RR_SHORTCUT,
     Divisor,
-    ReducedDivisor,
     InvalidInputError,
     NegativeRhoError,
     PreconditionViolatedError,
@@ -37,7 +36,7 @@ from divgraph import (
 from divgraph.brill_noether import _search_one_level, legacy_bound_min_digits
 from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
-from conftest import path3, shuffled  # noqa: F401  (path3 is a fixture)
+from conftest import cut_walk, path3, screened_walk, shuffled  # noqa: F401  (path3 is a fixture)
 
 
 class TestRho:
@@ -339,7 +338,7 @@ class TestRankCheckSkip:
         original = divgraph.brill_noether.rank_at_least
 
         def recorder(graph, divisor, r):
-            checked.append(divisor.divisor.coeffs)
+            checked.append(divisor.coeffs)
             return original(graph, divisor, r)
 
         monkeypatch.setattr(divgraph.brill_noether, "rank_at_least", recorder)
@@ -456,17 +455,15 @@ def reference_scan(graph, d, r, budget):
         if budget is not None and examined >= budget:
             return None, examined, True
         examined += 1
-        if coeffs[0] >= r:
-            red = ReducedDivisor(Divisor(graph, coeffs), q)
-            if rank_at_least(graph, red, r):
-                return red.divisor, examined, False
+        if coeffs[0] >= r and rank_at_least(graph, Divisor(graph, coeffs), r):
+            return Divisor(graph, coeffs), examined, False
     return None, examined, False
 
 
 class TestPrunedLevelScan:
-    """The level scan walks only the classes with D(q) >= r and counts the
-    others; witnesses, class counts and budget exits are those of the
-    scan over every class."""
+    """The level scan walks only the classes with D(q) >= r, rank-checks
+    those the anchor screen passes and counts the others; witnesses, class
+    counts and budget exits are those of the scan over every class."""
 
     GRAPHS = [
         (f"random(4,6,{s})^({k})", refine(random_multigraph(4, 6, s), k)[0])
@@ -483,11 +480,16 @@ class TestPrunedLevelScan:
         for d in range(2 * genus(graph)):
             full = list(enumerate_classes(graph, q, d))
             for r in range(4):
-                # the walk with a threshold: the same classes at their
-                # positions in the full walk, then the class count
-                assert list(enumerate_classes(graph, q, d, r)) == [
-                    (i, coeffs) for i, coeffs in enumerate(full) if coeffs[0] >= r
-                ] + [(len(full), None)]
+                # the walk with a threshold: the classes it keeps at their
+                # positions in the full walk, then the class count; limits
+                # below, at and above each kept position
+                kept = screened_walk(graph, q, d, r)
+                assert list(enumerate_classes(graph, q, d, r)) == kept
+                limits = {p + step for p, _ in kept[:-1] for step in (-1, 0, 1)}
+                for limit in sorted(limits - {-1}):
+                    assert list(enumerate_classes(graph, q, d, r, limit)) == cut_walk(
+                        kept, limit
+                    ), (d, r, limit)
                 witness, examined, _ = reference_scan(graph, d, r, None)
                 budgets = {0, examined - 1, examined, examined + 1, len(full) - 1, len(full)}
                 # a budget inside a counted block: classes budget - 1 and

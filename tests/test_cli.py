@@ -158,6 +158,22 @@ class TestGraphCommands:
         code, report = run_json(capsys, "rank", "--graph", graph, "--divisor", str(div))
         assert code == 0 and report["rank"] == 0
 
+    def test_reduce_at_an_empty_vertex_name(self, capsys, tmp_path):
+        # "" is a vertex name like any other, not the default base vertex
+        graph, div = tmp_path / "ab.graph", tmp_path / "d.div"
+        graph.write_text(
+            json.dumps({"name": "ab", "vertices": ["a", ""], "edges": [["a", ""]]}),
+            encoding="utf-8",
+        )
+        div.write_text(json.dumps({"a": 1}), encoding="utf-8")
+        argv = ["reduce", "--graph", str(graph), "--divisor", str(div)]
+        code, report = run_json(capsys, *argv, "--q", "")
+        assert code == 0
+        assert (report["q"], report["reduced"]) == ("", {"": 1})
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert (report["q"], report["reduced"]) == ("a", {"a": 1})
+
     def test_rr_verify(self, capsys, tmp_path):
         div = tmp_path / "d.div"
         div.write_text(json.dumps({"a": -1, "c": 2}), encoding="utf-8")
