@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EmptyOrFullSetError, IndexMismatchError, InvalidInputError, check_int
 from .graphs import Multigraph, RefinementMap, genus
@@ -26,7 +26,8 @@ from .graphs import Multigraph, RefinementMap, genus
 @dataclass(frozen=True)
 class Divisor:
     """An element of Div(G): one integer coefficient per vertex, aligned
-    with the graph's canonical vertex order."""
+    with the graph's canonical vertex order.  A coefficient that is not an
+    ``int`` (a float, or a bool) raises :class:`InvalidInputError`."""
 
     graph: Multigraph
     coeffs: tuple[int, ...]
@@ -37,6 +38,9 @@ class Divisor:
                 f"divisor has {len(self.coeffs)} coefficients for "
                 f"{len(self.graph.vertices)} vertices"
             )
+        if {*map(type, self.coeffs)} != {int}:
+            for v, c in zip(self.graph.vertices, self.coeffs):
+                check_int(c, f"divisor coefficient for {v!r}")
 
     @classmethod
     def from_map(cls, graph: Multigraph, values: Mapping[str, int]) -> "Divisor":
@@ -371,33 +375,34 @@ def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
     return True
 
 
-def _anchor_screen(
-    graph: Multigraph, qi: int, coeffs: Sequence[int], chips: Sequence[int], r: int
-) -> bool:
+def _anchor_screen(graph: Multigraph, qi: int, coeffs: Sequence[int], held: int, r: int) -> bool:
     """True when the q-reduced coefficients ``coeffs``, with q the vertex of
     index qi and ``coeffs[qi] >= r``, provably have rank below r, by one
     anchor-graph burn per anchor v with coeffs[v] < r.
 
     Take the anchors and degree-2 chains of
-    :meth:`Multigraph.chain_decomposition` at q; ``chips`` holds the chip
-    count of each chain by chain id, and 0 at id 0.  A q-reduced divisor
-    holds at most one chip per chain, so Dhar's burn from an anchor v burns
-    the whole graph iff the burn on the anchor graph reaches every anchor.
-    The divisor is then v-reduced as well, and if coeffs[v] < r the trial
-    r*(v) leaves a v-reduced divisor negative at v: the rank is below r.  A
-    False answer decides nothing.  q burns only once its heat, at most
-    deg(q), exceeds coeffs[qi], so the screen answers False at once when
-    coeffs[qi] >= deg(q), as in most checks of r >= 3.
+    :meth:`Multigraph.chain_decomposition` at q.  Bit c of ``held`` is set
+    when chain c holds a chip; the burn reads only the bits its links
+    carry, so other bits, such as the anchor fields of the walk key, may
+    hold anything.  A q-reduced divisor holds at most one chip per chain,
+    so Dhar's burn from an anchor v burns the whole graph iff the burn on
+    the anchor graph reaches every anchor.  The divisor is then v-reduced
+    as well, and if coeffs[v] < r the trial r*(v) leaves a v-reduced
+    divisor negative at v: the rank is below r.  A False answer decides
+    nothing.  q burns only once its heat, at most deg(q), exceeds
+    coeffs[qi], so the screen answers False at once when coeffs[qi] >=
+    deg(q), as in most checks of r >= 3.
 
-    The answer reads only the values at the anchors and the chip count of
-    each chain (Hladky-Kral-Norine 2013), the state that
-    :func:`enumerate_classes` keeps as its walk key.
+    The answer reads only the values at the anchors and which chains hold
+    a chip (Hladky-Kral-Norine 2013), the state that
+    :func:`enumerate_classes` keeps as its walk key, which it passes as
+    ``held``.
     """
     if coeffs[qi] >= graph.degrees[qi]:
         return False
     _, links, _, anchors = graph.chain_decomposition(qi)
     return any(
-        coeffs[v] < r and _anchors_burn(links, coeffs, chips, v, len(anchors)) for v in anchors
+        coeffs[v] < r and _anchors_burn(links, coeffs, held, v, len(anchors)) for v in anchors
     )
 
 
@@ -437,15 +442,14 @@ def _scan_rank(graph: Multigraph, divisor: Divisor) -> int:
     if d > 2 * g - 2:
         return d - g
     base = _reduce_coeffs(graph, list(divisor.coeffs), 0)
-    chain_of, _, chains, _ = graph.chain_decomposition(0)
-    chips = [0] * (chains + 1)
-    for v, c in enumerate(chain_of):
-        if c:
-            chips[c] += base[v]
+    held = 0
+    for v, c in enumerate(graph.chain_decomposition(0).chain_of):
+        if c and base[v]:
+            held |= 1 << c
     r = -1
     while (
         r < base[0]
-        and not _anchor_screen(graph, 0, base, chips, r + 1)
+        and not _anchor_screen(graph, 0, base, held, r + 1)
         and _rank_core(graph, base, r + 1)
     ):
         r += 1
@@ -463,14 +467,14 @@ def transport(iota: RefinementMap, divisor: Divisor) -> Divisor:
 def _anchors_burn(
     links: Sequence[Sequence[tuple[int, int, int]]],
     coeffs: Sequence[int],
-    chips: Sequence[int],
+    held: int,
     qi: int,
     anchors: int,
 ) -> bool:
     """Whether Dhar's burn from qi on the anchor graph of
     :meth:`Multigraph.chain_decomposition` burns all ``anchors`` anchors.
-    A chain holding a chip carries no fire; every other link carries its
-    multiplicity."""
+    A chain whose bit is set in ``held`` holds a chip and carries no fire;
+    every other link carries its multiplicity."""
     # an anchor has burnt once its heat exceeds its coefficient
     heat = [0] * len(coeffs)
     heat[qi] = coeffs[qi] + 1
@@ -478,8 +482,8 @@ def _anchors_burn(
     left = anchors - 1
     while queue:
         v = queue.pop()
-        for w, m, c in links[v]:
-            if heat[w] <= coeffs[w] and not chips[c]:
+        for w, m, b in links[v]:
+            if heat[w] <= coeffs[w] and not held & b:
                 heat[w] += m
                 if heat[w] > coeffs[w]:
                     left -= 1
@@ -489,9 +493,24 @@ def _anchors_burn(
     return not left
 
 
-# entries of an enumerate_classes burn, count or screen memo before it is
-# cleared
+# entries of an enumerate_classes memo before it is cleared
 _MEMO_CAP = 1 << 16
+
+
+class _Memo(dict):
+    """Verdicts by walk key: a missing key gets ``verdict(key)``, and the
+    dict is cleared when it reaches ``_MEMO_CAP`` entries, so its memory
+    stays bounded on large graphs."""
+
+    def __init__(self, verdict: Callable[[int], bool]) -> None:
+        super().__init__()
+        self.verdict = verdict
+
+    def __missing__(self, key: int) -> bool:
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        value = self[key] = self.verdict(key)
+        return value
 
 
 def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
@@ -527,9 +546,11 @@ def enumerate_classes(
     :func:`_anchor_screen` does not reject: every other class has rank
     below r.  ``position`` is the class's 0-based index in the walk without
     a threshold.  A last ``(total, None)`` follows them, where ``total`` is
-    the number of classes.  A ``limit``, read only with a threshold, ends the walk at
-    that position: it yields no position at or above ``limit``, and ends
-    with ``(limit + 1, None)`` if a class lies there.
+    the number of classes.  A ``limit``, an integer >= 0 given only with a
+    threshold, ends the walk at that position: it yields no position at or
+    above ``limit``, and ends with ``(limit + 1, None)`` if a class lies
+    there.  A ``limit`` without a threshold raises
+    :class:`InvalidInputError`.
 
     Superstables are closed downward (removing chips never stops a vertex
     from burning), so a prefix extends to a superstable iff the prefix
@@ -550,18 +571,18 @@ def enumerate_classes(
     anchor graph, whose edges are the direct anchor-anchor edges plus the
     chip-free chains between two different anchors, burns every anchor.
     The burn counts q as burnt from the start, whatever its slot holds.
-    The walk keeps a chip count per chain: a bump into a chain that
-    already holds a chip is rejected without a burn.
 
     The anchor burn thus reads only the values at the anchors other than q
-    and the chip count of each chain, never which vertex of a chain holds
-    its chip.  The walk keeps that state as one integer ``key``: each
-    chain owns one bit, and each anchor v other than q a field
-    ``degree(v).bit_length()`` bits wide, which holds every value up to
-    degree(v).  ``weight[v]`` is the lowest bit of the field or bit of v;
-    a bump adds it and a reset subtracts the value cleared times it.  Each
-    burn verdict is stored in ``memo`` under its key, and a key seen
-    before is decided without a burn.
+    and which chains hold a chip, never which vertex of a chain holds it.
+    The walk keeps that state, and no other copy of it, as one integer
+    ``key``: chain c owns bit c, the bit its links in the chain
+    decomposition carry, and each anchor v other than q a field
+    ``degree(v).bit_length()`` bits wide above the chain bits, which holds
+    every value up to degree(v).  ``weight[v]`` is the lowest bit of the
+    field or bit of v; a bump adds it and a reset subtracts the value
+    cleared times it.  A bump into a chain whose bit is set is rejected
+    without a burn.  Each burn verdict is stored in ``burns`` under its
+    key, and a key seen before is decided without a burn.
 
     Once a bump leaves ``spare <= r``, every class that adds chips right
     of it holds fewer than r chips at q.  The walk counts that block of
@@ -578,24 +599,26 @@ def enumerate_classes(
 
     The screen reads the same state as the anchor burn, and ``key`` fixes
     the q slot too, so ``screened`` keeps the screen's verdict per key.
-    ``memo``, ``counts`` and ``screened`` are cleared when they reach
-    ``_MEMO_CAP`` entries, so their memory stays bounded on large graphs.
+    ``burns`` and ``screened`` are one :class:`_Memo` type; ``counts``,
+    whose entries the count stores as it finishes them, is cleared at the
+    same ``_MEMO_CAP`` entries, so the memory of all three stays bounded
+    on large graphs.
     """
     qi = graph.vertex_index(q, "base vertex")
     degrees = graph.degrees
     chain_of, links, chains, anchor_list = graph.chain_decomposition(qi)
     anchors = len(anchor_list)
-    chips = [0] * (chains + 1)  # chips[0] is for direct edges: always 0
-    weight = [1 << (c - 1) if c else 0 for c in chain_of]
-    shift = chains
+    weight = [1 << c if c else 0 for c in chain_of]
+    shift = chains + 1
     for v in anchor_list:
         if v != qi:
             weight[v] = 1 << shift
             shift += degrees[v].bit_length()
     key = 0
-    memo: dict[int, bool] = {}
+    coeffs = [0] * len(graph.vertices)
+    burns = _Memo(lambda key: _anchors_burn(links, coeffs, key, qi, anchors))
+    screened = _Memo(lambda key: _anchor_screen(graph, qi, coeffs, key, r))
     counts: dict[int, int] = {}
-    screened: dict[int, bool] = {}
     order = [i for i in range(len(graph.vertices)) if i != qi]
     size = len(order)
     # the chain bit at each position (0 at an anchor), and the end of the
@@ -605,18 +628,13 @@ def enumerate_classes(
     for p in range(size - 2, -1, -1):
         if bit[p] and bit[p + 1] == bit[p]:
             run_end[p] = run_end[p + 1]
-    coeffs = [0] * len(graph.vertices)
     spare = d
     if limit is None:
         limit = math.inf
-
-    def burns(key: int) -> bool:
-        verdict = memo.get(key)
-        if verdict is None:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            verdict = memo[key] = _anchors_burn(links, coeffs, chips, qi, anchors)
-        return verdict
+    elif r is None:
+        raise InvalidInputError("enumerate_classes reads a limit only with a threshold r")
+    else:
+        check_int(limit, "limit", 0)
 
     def count(p: int, key: int, cap: float) -> int:
         """The superstables that agree with ``coeffs`` before position p,
@@ -642,23 +660,19 @@ def enumerate_classes(
                 frame = frames[-1]
                 p, key, mult, acc, a, w, start = frame
                 while p < size:
-                    v = order[p]
-                    c = chain_of[v]
-                    if c:
-                        if a:
-                            chips[c] = a = 0
-                        elif not key & bit[p]:
-                            chips[c] = 1
-                            if burns(key + bit[p]):
-                                a = 1
-                                break
-                            chips[c] = 0
+                    b = bit[p]
+                    if b:
+                        if not a and not key & b and burns[key + b]:
+                            a = 1
+                            break
+                        a = 0
                         p = run_end[p]
                     else:
+                        v = order[p]
                         a += 1
                         if a < degrees[v]:
                             coeffs[v] = a
-                            if burns(key + a * weight[v]):
+                            if burns[key + a * weight[v]]:
                                 break
                         coeffs[v] = a = 0
                         p += 1
@@ -673,8 +687,8 @@ def enumerate_classes(
                     continue
                 frame[0], frame[4] = p, a
                 break
-            if c:
-                p, key, w = run_end[p], key + bit[p], run_end[p] - p
+            if b:
+                p, key, w = run_end[p], key + b, run_end[p] - p
             else:
                 p, key, w = p + 1, key + a * weight[v], 1
             mult *= w
@@ -691,12 +705,7 @@ def enumerate_classes(
                 if position == limit:
                     yield limit + 1, None
                     return
-                rejected = screened.get(key)
-                if rejected is None:
-                    if len(screened) >= _MEMO_CAP:
-                        screened.clear()
-                    rejected = screened[key] = _anchor_screen(graph, qi, coeffs, chips, r)
-                if not rejected:
+                if not screened[key]:
                     yield position, tuple(coeffs)
             if spare > r:
                 position += 1
@@ -708,21 +717,18 @@ def enumerate_classes(
                     return
         for j in range(j, -1, -1):
             v = order[j]
-            c = chain_of[v]
             a = coeffs[v]
             # a chain vertex has degree 2, and takes a chip only while its
-            # chain holds none
-            if a + 1 < degrees[v] and not chips[c]:
+            # chain holds none; an anchor's chain bit is 0
+            if a + 1 < degrees[v] and not key & bit[j]:
                 a += 1
                 coeffs[v] = a
-                if c:
-                    chips[c] = 1
                 spare -= 1
                 key += weight[v]
-                if burns(key):
+                if burns[key]:
                     break
             if a:
-                coeffs[v] = chips[c] = 0
+                coeffs[v] = 0
                 spare += a
                 key -= a * weight[v]
         else:

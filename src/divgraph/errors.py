@@ -77,12 +77,9 @@ class IntegerTooLargeError(DivGraphError):
 def check_int(value, what: str, minimum: Optional[int] = None) -> int:
     """Return ``value`` if it is an integer, and at least ``minimum`` when
     one is given; otherwise raise :class:`InvalidInputError` naming
-    ``what``.  A bool is not an integer here, so JSON ``true`` is not 1."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or (minimum is not None and value < minimum)
-    ):
+    ``what``.  Only an exact ``int`` is an integer here: a bool is not, so
+    JSON ``true`` is not 1, and neither is any other subclass of int."""
+    if type(value) is not int or (minimum is not None and value < minimum):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise InvalidInputError(f"{what} must be an integer{at_least}, got {value!r}")
     return value

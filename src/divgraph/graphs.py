@@ -6,7 +6,7 @@ that depend on indexing (Laplacians, enumeration order, inserted-vertex
 names) are reproducible.  Edges are stored multiplicity-compressed.
 
 All types are immutable after construction; derived data (adjacency,
-degrees, BFS layers, chain decompositions) is cached lazily on the
+degrees, BFS distances, chain decompositions) is cached lazily on the
 instance and never mutates the defining fields, so graphs can be shared
 read-only across workers.
 """
@@ -180,10 +180,10 @@ class Multigraph:
         anchors, or from an anchor back to itself.  ``chain_of[v]`` is the
         chain id of v, from 1 to ``chains``, or 0 at an anchor; ``links[a]``
         lists the anchor-graph edges at anchor a as ``(anchor,
-        multiplicity, chain id)``, one per direct anchor-anchor edge record
-        (chain id 0) and one unit edge per chain ending at two different
-        anchors; ``anchors`` lists the anchor indices.  The walk is
-        iterative, so long cycles are fine.
+        multiplicity, chain bit)``, one per direct anchor-anchor edge record
+        (chain bit 0) and one unit edge per chain c ending at two different
+        anchors (chain bit ``1 << c``); ``anchors`` lists the anchor
+        indices.  The walk is iterative, so long cycles are fine.
         """
         cache = self._chain_cache
         if root not in cache:
@@ -210,8 +210,8 @@ class Multigraph:
                             nxt = nbrs[0][0] if nbrs[0][0] != prev else nbrs[-1][0]
                             prev, v = v, nxt
                         if v != a:
-                            links[a].append((v, 1, chains))
-                            links[v].append((a, 1, chains))
+                            links[a].append((v, 1, 1 << chains))
+                            links[v].append((a, 1, 1 << chains))
             cache[root] = ChainDecomposition(
                 tuple(chain_of),
                 tuple(tuple(ls) for ls in links),
@@ -228,8 +228,7 @@ class Multigraph:
         """The set ``A`` of vertex indices, in index order, on which rank-1
         trials suffice: the anchors of :meth:`chain_decomposition` at
         ``root``, plus the lowest-index vertex of each closed chain (one
-        whose two ends are the same anchor, so it has no entry in
-        ``links``).
+        whose two ends are the same anchor, so its bit is on no link).
 
         ``A`` is the vertex set of a loopless model of the metric graph: a
         chain between two different anchors becomes one edge, and a closed
@@ -243,12 +242,13 @@ class Multigraph:
         cache = self._rank_set_cache
         if root not in cache:
             chain_of, links, _, anchors = self.chain_decomposition(root)
-            closed = set(chain_of) - {c for ls in links for _, _, c in ls}
-            closed.discard(0)
+            # a closed chain's bit is on no link; it is set here once the
+            # chain's lowest-index vertex is chosen
+            seen = sum({b for ls in links for _, _, b in ls})
             chosen = set(anchors)
             for v, c in enumerate(chain_of):
-                if c in closed:
-                    closed.discard(c)
+                if c and not seen & 1 << c:
+                    seen |= 1 << c
                     chosen.add(v)
             cache[root] = tuple(sorted(chosen))
         return cache[root]

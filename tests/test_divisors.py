@@ -1,5 +1,6 @@
 """Divisor arithmetic, q-reduction, rank, class enumeration, Riemann-Roch."""
 
+import enum
 import itertools
 import random
 
@@ -35,7 +36,7 @@ from divgraph import (
     vertex_divisor,
 )
 from divgraph.brill_noether import _search_one_level
-from divgraph.divisors import _scan_rank
+from divgraph.divisors import _anchor_screen, _scan_rank
 from divgraph.harmonic import identity_morphism, pullback
 from divgraph.families import banana, cycle, random_multigraph, theta
 
@@ -161,6 +162,13 @@ class TestOperands:
         d = Divisor(cycle(3), (1, -2, 0))
         assert d * 3 == 3 * d == Divisor(cycle(3), (3, -6, 0))
         assert d * 0 == Divisor.zero(cycle(3))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None, enum.IntEnum("One", "ONE").ONE])
+    def test_coefficients_must_be_ints(self, bad):
+        # a coefficient 1.5 once gave theta(2,2,2) the rank 0.5, and True
+        # counted as 1
+        with pytest.raises(InvalidInputError, match="divisor coefficient for 'v1'"):
+            Divisor(theta(2, 2, 2), (1, bad, 1))
 
 
 class TestCanonical:
@@ -672,15 +680,16 @@ class TestEnumerateClasses:
     @staticmethod
     def burn_states(monkeypatch, graph, q):
         """The walk's classes at q, and the state each anchor burn of the
-        walk read: the values at the anchors other than q, and the chip
-        count of each chain."""
-        anchors = graph.chain_decomposition(graph.vertex_index(q)).anchors
+        walk read: the values at the anchors other than q, and the chain
+        bits of ``held``, set for the chains that hold a chip."""
+        _, _, chains, anchors = graph.chain_decomposition(graph.vertex_index(q))
+        chain_bits = sum(1 << c for c in range(1, chains + 1))
         states = []
         original = divgraph.divisors._anchors_burn
 
-        def recorder(links, coeffs, chips, qi, count):
-            states.append((tuple(coeffs[v] for v in anchors if v != qi), tuple(chips)))
-            return original(links, coeffs, chips, qi, count)
+        def recorder(links, coeffs, held, qi, count):
+            states.append((tuple(coeffs[v] for v in anchors if v != qi), held & chain_bits))
+            return original(links, coeffs, held, qi, count)
 
         monkeypatch.setattr(divgraph.divisors, "_anchors_burn", recorder)
         return list(superstable_configs(graph, q)), states
@@ -725,6 +734,16 @@ class TestEnumerateClasses:
                 assert list(enumerate_classes(graph, q, 2, r)) == kept
                 for limit in range(kept[-1][0] + 1):
                     assert list(enumerate_classes(graph, q, 2, r, limit)) == cut_walk(kept, limit)
+
+    def test_limit_needs_a_threshold(self):
+        # without r the walk once yielded all 3 classes under limit=1
+        with pytest.raises(InvalidInputError, match="limit"):
+            list(enumerate_classes(cycle(3), "v0", 1, limit=1))
+
+    @pytest.mark.parametrize("limit", [-1, 1.5, True, "2"])
+    def test_limit_must_be_a_count(self, limit):
+        with pytest.raises(InvalidInputError, match="limit"):
+            list(enumerate_classes(cycle(3), "v0", 1, 1, limit))
 
     def test_long_cycle_has_no_recursion_limit(self):
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
@@ -890,12 +909,12 @@ class TestAnchorScreen:
         states = []
         screen = divgraph.divisors._anchor_screen
 
-        def recorder(graph, qi, coeffs, chips, r):
+        def recorder(graph, qi, coeffs, held, r):
             states.append((
                 tuple(coeffs[v] for v in anchors),
                 frozenset(chain_of[v] for v, a in enumerate(coeffs) if a and chain_of[v]),
             ))
-            return screen(graph, qi, coeffs, chips, r)
+            return screen(graph, qi, coeffs, held, r)
 
         monkeypatch.setattr(divgraph.divisors, "_anchor_screen", recorder)
         _search_one_level(graph, 3, 1, None)
@@ -1063,3 +1082,73 @@ class TestRefinementInvariance:
             if abs(d.degree) > 4:
                 continue
             assert rank(target, transport(iota, d)) == rank(graph, d)
+
+
+
+class _FirstScreen(Exception):
+    """Ends a _scan_rank call at its first screen."""
+
+
+class TestChainMask:
+    """Two places build the chain mask that _anchor_screen reads, bit c
+    set when chain c holds a chip: the walk's key, and _scan_rank from the
+    reduced form.  For every class at base 0 they must agree, so the
+    screen gives the same verdict from both."""
+
+    @staticmethod
+    def walk_screens(monkeypatch, graph, d):
+        """Per class with D(q) >= 1, the chain bits of the walk's key when
+        the walk with r = 1 screens the class, and the screen's verdict."""
+        chains = graph.chain_decomposition(0).chains
+        chain_bits = sum(1 << c for c in range(1, chains + 1))
+        screen = divgraph.divisors._anchor_screen
+        seen = {}
+
+        def recorder(graph, qi, coeffs, held, r):
+            verdict = screen(graph, qi, coeffs, held, r)
+            seen[tuple(coeffs)] = held & chain_bits, verdict
+            return verdict
+
+        class Unmemoized(dict):
+            # every lookup screens, so each class shows the walk's key
+            def __init__(self, verdict):
+                self.verdict = verdict
+
+            def __missing__(self, key):
+                return self.verdict(key)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(divgraph.divisors, "_Memo", Unmemoized)
+            patch.setattr(divgraph.divisors, "_anchor_screen", recorder)
+            kept = {c for _, c in enumerate_classes(graph, graph.vertices[0], d, 1)}
+        assert {c for c, (_, verdict) in seen.items() if not verdict} == kept - {None}
+        return seen
+
+    @staticmethod
+    def scan_mask(monkeypatch, graph, coeffs):
+        """The mask _scan_rank builds for a class and passes to its first
+        screen."""
+        masks = []
+
+        def first_screen(graph, qi, coeffs, held, r):
+            masks.append(held)
+            raise _FirstScreen
+
+        with monkeypatch.context() as patch:
+            patch.setattr(divgraph.divisors, "_anchor_screen", first_screen)
+            with pytest.raises(_FirstScreen):
+                _scan_rank(graph, Divisor(graph, coeffs))
+        return masks[0]
+
+    @pytest.mark.parametrize("name,graph", TestAnchorScreen.GRAPHS)
+    def test_walk_key_and_scan_mask_agree(self, monkeypatch, name, graph):
+        # every degree that reaches a screen, and every class of it with
+        # D(q) >= 1
+        screened = 0
+        for d in range(1, 2 * genus(graph) - 1):
+            for coeffs, (walk_held, walk_verdict) in self.walk_screens(monkeypatch, graph, d).items():
+                scan_held = self.scan_mask(monkeypatch, graph, coeffs)
+                assert walk_held == scan_held, coeffs
+                assert _anchor_screen(graph, 0, coeffs, scan_held, 1) == walk_verdict, coeffs
+                screened += 1
+        assert screened

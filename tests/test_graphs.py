@@ -233,7 +233,8 @@ class TestChainDecomposition:
         # the closed chain x-y gets an id but no anchor-graph link
         assert chain_of[3] == chain_of[4] != chain_of[5] == chain_of[6] != 0
         assert sorted(links[0]) == [(1, 1, 0), (2, 1, 0)]
-        assert sorted(links[1]) == [(0, 1, 0), (2, 1, 0), (2, 1, chain_of[5])]
+        # a chain's link carries its key bit, 1 << chain id
+        assert sorted(links[1]) == [(0, 1, 0), (2, 1, 0), (2, 1, 1 << chain_of[5])]
 
     def test_root_is_an_anchor_and_the_result_is_cached(self):
         graph, _ = refine(banana(2), 1)
