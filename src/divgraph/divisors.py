@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EmptyOrFullSetError, IndexMismatchError, InvalidInputError, check_int
 from .graphs import Multigraph, RefinementMap, genus
@@ -344,13 +344,13 @@ def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
 
     The first trial is E = r*(q): base - r*(q) is still q-reduced, so that
     trial fails iff base(q) < r, which is checked without a reduction.  For
-    r = 1, E = (v) ranges over :meth:`Multigraph.rank_determining_set` at
-    q: the anchors of :meth:`Multigraph.chain_decomposition` and one vertex
-    of each closed chain, which settle the verdict exactly (Luo 2011,
-    Hladky-Kral-Norine 2013).  These trials run in decreasing BFS distance
-    from q, ties in index order, so a failing check mostly fails on its
-    first trial; every trial must pass, so the order never changes the
-    verdict.  For r >= 2, E ranges over size-r vertex multisets in
+    r = 1, E = (v) ranges over the set ``A`` that
+    :meth:`Multigraph.chain_decomposition` at q records as ``rank_set``:
+    the anchors and one vertex of each closed chain, which settle the
+    verdict exactly (Luo 2011, Hladky-Kral-Norine 2013).  These trials run
+    in decreasing BFS distance from q, ties in index order, so a failing
+    check mostly fails on its first trial; every trial must pass, so the
+    order never changes the verdict.  For r >= 2, E ranges over size-r vertex multisets in
     lexicographic index order.
     """
     if base[0] < r:
@@ -361,7 +361,9 @@ def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
         # a q-reduced divisor sits near q: the vertex it cannot reach is
         # most often a far one
         far_first = sorted(
-            graph.rank_determining_set(0), key=graph.bfs_distances(0).__getitem__, reverse=True
+            graph.chain_decomposition(0).rank_set,
+            key=graph.bfs_distances(0).__getitem__,
+            reverse=True,
         )
         trials: Iterable[Sequence[int]] = ((v,) for v in far_first)
     else:
@@ -375,17 +377,16 @@ def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
     return True
 
 
-def _anchor_screen(graph: Multigraph, qi: int, coeffs: Sequence[int], held: int, r: int) -> bool:
+def _anchor_screen(graph: Multigraph, qi: int, coeffs: Sequence[int], r: int) -> bool:
     """True when the q-reduced coefficients ``coeffs``, with q the vertex of
     index qi and ``coeffs[qi] >= r``, provably have rank below r, by one
     anchor-graph burn per anchor v with coeffs[v] < r.
 
     Take the anchors and degree-2 chains of
-    :meth:`Multigraph.chain_decomposition` at q.  Bit c of ``held`` is set
-    when chain c holds a chip; the burn reads only the bits its links
-    carry, so other bits, such as the anchor fields of the walk key, may
-    hold anything.  A q-reduced divisor holds at most one chip per chain,
-    so Dhar's burn from an anchor v burns the whole graph iff the burn on
+    :meth:`Multigraph.chain_decomposition` at q.  A q-reduced divisor holds
+    at most one chip per chain, so the sum of the chain bits of the
+    vertices holding a chip has bit c set exactly when chain c holds one,
+    and Dhar's burn from an anchor v burns the whole graph iff the burn on
     the anchor graph reaches every anchor.  The divisor is then v-reduced
     as well, and if coeffs[v] < r the trial r*(v) leaves a v-reduced
     divisor negative at v: the rank is below r.  A False answer decides
@@ -395,12 +396,12 @@ def _anchor_screen(graph: Multigraph, qi: int, coeffs: Sequence[int], held: int,
 
     The answer reads only the values at the anchors and which chains hold
     a chip (Hladky-Kral-Norine 2013), the state that
-    :func:`enumerate_classes` keeps as its walk key, which it passes as
-    ``held``.
+    :func:`enumerate_classes` keeps as its walk key.
     """
     if coeffs[qi] >= graph.degrees[qi]:
         return False
-    _, links, _, anchors = graph.chain_decomposition(qi)
+    bits, links, _, anchors, _ = graph.chain_decomposition(qi)
+    held = sum(itertools.compress(bits, coeffs))
     return any(
         coeffs[v] < r and _anchors_burn(links, coeffs, held, v, len(anchors)) for v in anchors
     )
@@ -442,14 +443,10 @@ def _scan_rank(graph: Multigraph, divisor: Divisor) -> int:
     if d > 2 * g - 2:
         return d - g
     base = _reduce_coeffs(graph, list(divisor.coeffs), 0)
-    held = 0
-    for v, c in enumerate(graph.chain_decomposition(0).chain_of):
-        if c and base[v]:
-            held |= 1 << c
     r = -1
     while (
         r < base[0]
-        and not _anchor_screen(graph, 0, base, held, r + 1)
+        and not _anchor_screen(graph, 0, base, r + 1)
         and _rank_core(graph, base, r + 1)
     ):
         r += 1
@@ -473,8 +470,10 @@ def _anchors_burn(
 ) -> bool:
     """Whether Dhar's burn from qi on the anchor graph of
     :meth:`Multigraph.chain_decomposition` burns all ``anchors`` anchors.
-    A chain whose bit is set in ``held`` holds a chip and carries no fire;
-    every other link carries its multiplicity."""
+    A chain whose key bit is set in ``held`` holds a chip and carries no
+    fire; every other link carries its multiplicity.  The burn reads only
+    the bits its links carry, so other bits of ``held``, such as the
+    anchor fields of the walk key, may hold anything."""
     # an anchor has burnt once its heat exceeds its coefficient
     heat = [0] * len(coeffs)
     heat[qi] = coeffs[qi] + 1
@@ -493,24 +492,10 @@ def _anchors_burn(
     return not left
 
 
-# entries of an enumerate_classes memo before it is cleared
+# the most entries an enumerate_classes memo holds: the burn and screen
+# memos drop their least recently used entry beyond it, the count memo is
+# cleared there
 _MEMO_CAP = 1 << 16
-
-
-class _Memo(dict):
-    """Verdicts by walk key: a missing key gets ``verdict(key)``, and the
-    dict is cleared when it reaches ``_MEMO_CAP`` entries, so its memory
-    stays bounded on large graphs."""
-
-    def __init__(self, verdict: Callable[[int], bool]) -> None:
-        super().__init__()
-        self.verdict = verdict
-
-    def __missing__(self, key: int) -> bool:
-        if len(self) >= _MEMO_CAP:
-            self.clear()
-        value = self[key] = self.verdict(key)
-        return value
 
 
 def superstable_configs(graph: Multigraph, q: str) -> Iterator[tuple[int, ...]]:
@@ -549,7 +534,8 @@ def enumerate_classes(
     the number of classes.  A ``limit``, an integer >= 0 given only with a
     threshold, ends the walk at that position: it yields no position at or
     above ``limit``, and ends with ``(limit + 1, None)`` if a class lies
-    there.  A ``limit`` without a threshold raises
+    there.  A ``limit`` without a threshold, a ``d`` that is not an
+    integer, or an ``r`` that is not an integer >= 0 raises
     :class:`InvalidInputError`.
 
     Superstables are closed downward (removing chips never stops a vertex
@@ -579,10 +565,11 @@ def enumerate_classes(
     decomposition carry, and each anchor v other than q a field
     ``degree(v).bit_length()`` bits wide above the chain bits, which holds
     every value up to degree(v).  ``weight[v]`` is the lowest bit of the
-    field or bit of v; a bump adds it and a reset subtracts the value
-    cleared times it.  A bump into a chain whose bit is set is rejected
-    without a burn.  Each burn verdict is stored in ``burns`` under its
-    key, and a key seen before is decided without a burn.
+    field of v, or the chain bit the decomposition gives v; a bump adds it
+    and a reset subtracts the value cleared times it.  A bump into a chain
+    whose bit is set is rejected without a burn.  Each burn verdict is
+    stored in ``burns`` under its key, and a key seen before is decided
+    without a burn.
 
     Once a bump leaves ``spare <= r``, every class that adds chips right
     of it holds fewer than r chips at q.  The walk counts that block of
@@ -597,18 +584,22 @@ def enumerate_classes(
     ``counts`` keeps it under both.  The count stops as soon as it passes
     what ``limit`` leaves.
 
-    The screen reads the same state as the anchor burn, and ``key`` fixes
-    the q slot too, so ``screened`` keeps the screen's verdict per key.
-    ``burns`` and ``screened`` are one :class:`_Memo` type; ``counts``,
-    whose entries the count stores as it finishes them, is cleared at the
-    same ``_MEMO_CAP`` entries, so the memory of all three stays bounded
-    on large graphs.
+    The screen reads the same state as the anchor burn, through the chain
+    bits of the chip-holding vertices, and ``key`` fixes the q slot too, so
+    ``screened`` keeps the screen's verdict per key.  ``burns`` and
+    ``screened`` are :func:`functools.lru_cache` memos of ``_MEMO_CAP``
+    entries; ``counts``, whose entries the count stores as it finishes
+    them, is cleared at the same ``_MEMO_CAP`` entries, so the memory of
+    all three stays bounded on large graphs.
     """
     qi = graph.vertex_index(q, "base vertex")
+    check_int(d, "d")
+    if r is not None:
+        check_int(r, "r", 0)
     degrees = graph.degrees
-    chain_of, links, chains, anchor_list = graph.chain_decomposition(qi)
+    bits, links, chains, anchor_list, _ = graph.chain_decomposition(qi)
     anchors = len(anchor_list)
-    weight = [1 << c if c else 0 for c in chain_of]
+    weight = list(bits)
     shift = chains + 1
     for v in anchor_list:
         if v != qi:
@@ -616,14 +607,15 @@ def enumerate_classes(
             shift += degrees[v].bit_length()
     key = 0
     coeffs = [0] * len(graph.vertices)
-    burns = _Memo(lambda key: _anchors_burn(links, coeffs, key, qi, anchors))
-    screened = _Memo(lambda key: _anchor_screen(graph, qi, coeffs, key, r))
+    memo = lru_cache(maxsize=_MEMO_CAP)
+    burns = memo(lambda key: _anchors_burn(links, coeffs, key, qi, anchors))
+    screened = memo(lambda key: _anchor_screen(graph, qi, coeffs, r))
     counts: dict[int, int] = {}
     order = [i for i in range(len(graph.vertices)) if i != qi]
     size = len(order)
     # the chain bit at each position (0 at an anchor), and the end of the
     # run of consecutive positions in the same chain from there on
-    bit = [weight[v] if chain_of[v] else 0 for v in order]
+    bit = [bits[v] for v in order]
     run_end = list(range(1, size + 1))
     for p in range(size - 2, -1, -1):
         if bit[p] and bit[p + 1] == bit[p]:
@@ -662,7 +654,7 @@ def enumerate_classes(
                 while p < size:
                     b = bit[p]
                     if b:
-                        if not a and not key & b and burns[key + b]:
+                        if not a and not key & b and burns(key + b):
                             a = 1
                             break
                         a = 0
@@ -672,7 +664,7 @@ def enumerate_classes(
                         a += 1
                         if a < degrees[v]:
                             coeffs[v] = a
-                            if burns[key + a * weight[v]]:
+                            if burns(key + a * weight[v]):
                                 break
                         coeffs[v] = a = 0
                         p += 1
@@ -705,7 +697,7 @@ def enumerate_classes(
                 if position == limit:
                     yield limit + 1, None
                     return
-                if not screened[key]:
+                if not screened(key):
                     yield position, tuple(coeffs)
             if spare > r:
                 position += 1
@@ -725,7 +717,7 @@ def enumerate_classes(
                 coeffs[v] = a
                 spare -= 1
                 key += weight[v]
-                if burns[key]:
+                if burns(key):
                     break
             if a:
                 coeffs[v] = 0

@@ -177,13 +177,27 @@ class Multigraph:
 
         Anchors are vertex index ``root`` and every vertex of degree other
         than 2; a chain is a maximal path of degree-2 vertices between two
-        anchors, or from an anchor back to itself.  ``chain_of[v]`` is the
-        chain id of v, from 1 to ``chains``, or 0 at an anchor; ``links[a]``
-        lists the anchor-graph edges at anchor a as ``(anchor,
-        multiplicity, chain bit)``, one per direct anchor-anchor edge record
-        (chain bit 0) and one unit edge per chain c ending at two different
-        anchors (chain bit ``1 << c``); ``anchors`` lists the anchor
-        indices.  The walk is iterative, so long cycles are fine.
+        anchors, or from an anchor back to itself.  The chains are numbered
+        from 1 to ``chains``, and ``bits[v]`` is the key bit ``1 << c`` of
+        v's chain c, or 0 at an anchor.  ``links[a]`` lists the
+        anchor-graph edges at anchor a as ``(anchor, multiplicity, chain
+        bit)``, one per direct anchor-anchor edge record (chain bit 0) and
+        one unit edge per chain ending at two different anchors (its key
+        bit); ``anchors`` lists the anchor indices.
+
+        ``rank_set`` is the set ``A``, in index order, on which rank-1
+        trials suffice: the anchors, plus the lowest-index vertex of each
+        chain that closes on one anchor.  ``A`` is the vertex set of a
+        loopless model of the metric graph: a chain between two different
+        anchors becomes one edge, and a closed chain two edges through its
+        chosen vertex.  So ``A`` is rank-determining (Luo,
+        "Rank-determining sets of metric graphs", JCTA 2011), and since
+        ranks on the graph equal ranks on its metric graph
+        (Hladky-Kral-Norine, "Rank of divisors on tropical curves", JCTA
+        2013), D has rank >= 1 iff D - v is equivalent to an effective
+        divisor for every v in ``A``.
+
+        The walk is iterative, so long cycles are fine.
         """
         cache = self._chain_cache
         if root not in cache:
@@ -191,8 +205,9 @@ class Multigraph:
             adjacency = self.adjacency
             degrees = self.degrees
             anchor = [v == root or degrees[v] != 2 for v in range(n)]
-            chain_of = [0] * n
+            bits = [0] * n
             links: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+            closed = []
             chains = 0
             for a in range(n):
                 if not anchor[a]:
@@ -200,67 +215,42 @@ class Multigraph:
                 for w, m in adjacency[a]:
                     if anchor[w]:
                         links[a].append((w, m, 0))
-                    elif not chain_of[w]:
+                    elif not bits[w]:
                         chains += 1
-                        prev, v = a, w
+                        bit = 1 << chains
+                        prev, v, low = a, w, w
                         while not anchor[v]:
-                            chain_of[v] = chains
+                            bits[v] = bit
+                            low = min(low, v)
                             # two single edges, or one double edge back to prev
                             nbrs = adjacency[v]
                             nxt = nbrs[0][0] if nbrs[0][0] != prev else nbrs[-1][0]
                             prev, v = v, nxt
                         if v != a:
-                            links[a].append((v, 1, 1 << chains))
-                            links[v].append((a, 1, 1 << chains))
+                            links[a].append((v, 1, bit))
+                            links[v].append((a, 1, bit))
+                        else:
+                            closed.append(low)
+            anchors = tuple(v for v in range(n) if anchor[v])
             cache[root] = ChainDecomposition(
-                tuple(chain_of),
+                tuple(bits),
                 tuple(tuple(ls) for ls in links),
                 chains,
-                tuple(v for v in range(n) if anchor[v]),
+                anchors,
+                tuple(sorted(anchors + tuple(closed))),
             )
-        return cache[root]
-
-    @cached_property
-    def _rank_set_cache(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
-    def rank_determining_set(self, root: int) -> tuple[int, ...]:
-        """The set ``A`` of vertex indices, in index order, on which rank-1
-        trials suffice: the anchors of :meth:`chain_decomposition` at
-        ``root``, plus the lowest-index vertex of each closed chain (one
-        whose two ends are the same anchor, so its bit is on no link).
-
-        ``A`` is the vertex set of a loopless model of the metric graph: a
-        chain between two different anchors becomes one edge, and a closed
-        chain two edges through its chosen vertex.  So ``A`` is
-        rank-determining (Luo, "Rank-determining sets of metric graphs",
-        JCTA 2011), and since ranks on the graph equal ranks on its metric
-        graph (Hladky-Kral-Norine, "Rank of divisors on tropical curves",
-        JCTA 2013), D has rank >= 1 iff D - v is equivalent to an
-        effective divisor for every v in ``A``.
-        """
-        cache = self._rank_set_cache
-        if root not in cache:
-            chain_of, links, _, anchors = self.chain_decomposition(root)
-            # a closed chain's bit is on no link; it is set here once the
-            # chain's lowest-index vertex is chosen
-            seen = sum({b for ls in links for _, _, b in ls})
-            chosen = set(anchors)
-            for v, c in enumerate(chain_of):
-                if c and not seen & 1 << c:
-                    seen |= 1 << c
-                    chosen.add(v)
-            cache[root] = tuple(sorted(chosen))
         return cache[root]
 
 
 class ChainDecomposition(NamedTuple):
-    """The anchors and degree-2 chains of :meth:`Multigraph.chain_decomposition`."""
+    """The anchors and degree-2 chains of :meth:`Multigraph.chain_decomposition`,
+    with each vertex's chain bit and the rank-determining set ``A``."""
 
-    chain_of: tuple[int, ...]
+    bits: tuple[int, ...]
     links: tuple[tuple[tuple[int, int, int], ...], ...]
     chains: int
     anchors: tuple[int, ...]
+    rank_set: tuple[int, ...]
 
 
 def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigraph:
@@ -357,8 +347,13 @@ def kirchhoff_minor_determinant(graph: Multigraph, drop: int = 0) -> int:
     """Determinant of the Laplacian with row and column ``drop`` deleted.
 
     By the matrix-tree theorem this equals the spanning tree count for any
-    choice of ``drop``.
+    choice of ``drop``.  ``drop`` must be a vertex index: an integer from 0
+    to ``len(graph.vertices) - 1``, else :class:`InvalidInputError`.
     """
+    if check_int(drop, "drop", 0) >= len(graph.vertices):
+        raise InvalidInputError(
+            f"drop must be a vertex index below {len(graph.vertices)}, got {drop}"
+        )
     full = laplacian(graph)
     minor = [
         [full[i][j] for j in range(len(full)) if j != drop]

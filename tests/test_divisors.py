@@ -36,7 +36,7 @@ from divgraph import (
     vertex_divisor,
 )
 from divgraph.brill_noether import _search_one_level
-from divgraph.divisors import _anchor_screen, _scan_rank
+from divgraph.divisors import _scan_rank
 from divgraph.harmonic import identity_morphism, pullback
 from divgraph.families import banana, cycle, random_multigraph, theta
 
@@ -682,7 +682,7 @@ class TestEnumerateClasses:
         """The walk's classes at q, and the state each anchor burn of the
         walk read: the values at the anchors other than q, and the chain
         bits of ``held``, set for the chains that hold a chip."""
-        _, _, chains, anchors = graph.chain_decomposition(graph.vertex_index(q))
+        _, _, chains, anchors, _ = graph.chain_decomposition(graph.vertex_index(q))
         chain_bits = sum(1 << c for c in range(1, chains + 1))
         states = []
         original = divgraph.divisors._anchors_burn
@@ -745,6 +745,17 @@ class TestEnumerateClasses:
         with pytest.raises(InvalidInputError, match="limit"):
             list(enumerate_classes(cycle(3), "v0", 1, 1, limit))
 
+    # a float d once gave float coefficients in the q slot, and a float or
+    # negative r still ran the threshold walk
+    @pytest.mark.parametrize(
+        "d,r,what",
+        [(1.5, None, "d"), (True, None, "d"), ("2", 1, "d"),
+         (2, 1.5, "r"), (2, -1, "r"), (2, True, "r")],
+    )
+    def test_degree_and_threshold_must_be_integers(self, d, r, what):
+        with pytest.raises(InvalidInputError, match=f"^{what} must be an integer"):
+            list(enumerate_classes(cycle(3), "v0", d, r))
+
     def test_long_cycle_has_no_recursion_limit(self):
         first = list(itertools.islice(superstable_configs(cycle(1100), "v0"), 3))
         zero = (0,) * 1100
@@ -765,23 +776,23 @@ class TestRankDeterminingSet:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_cycle_gives_q_and_one_inner_vertex(self, n):
-        assert cycle(n).rank_determining_set(0) == (0, 1)
+        assert cycle(n).chain_decomposition(0).rank_set == (0, 1)
 
     def test_hanging_cycle(self):
         graph = dict(TestEnumerateClasses.CHAIN_GRAPHS)["hanging cycle"]
         # b and c have degree 2 too: a is the only anchor, and both the
         # triangle's b-c and the hanging x-y close on it
         assert graph.chain_decomposition(0).anchors == (0,)
-        assert graph.rank_determining_set(0) == (0, 1, 3)
+        assert graph.chain_decomposition(0).rank_set == (0, 1, 3)
 
     def test_chains_between_two_anchors_add_nothing(self):
         graph, _ = refine(theta(2, 2, 2), 1)
-        assert graph.rank_determining_set(0) == graph.chain_decomposition(0).anchors
-        assert graph.rank_determining_set(0) == (0, 1, 2)
+        assert graph.chain_decomposition(0).rank_set == graph.chain_decomposition(0).anchors
+        assert graph.chain_decomposition(0).rank_set == (0, 1, 2)
 
     def test_two_closed_chains_on_one_anchor(self):
         assert TWO_LOOPS.chain_decomposition(0).anchors == (0, 1)
-        assert TWO_LOOPS.rank_determining_set(0) == (0, 1, 2, 4)
+        assert TWO_LOOPS.chain_decomposition(0).rank_set == (0, 1, 2, 4)
 
     def test_shuffled_with_a_degree_2_q(self):
         graph = shuffled(TWO_LOOPS, 1)
@@ -789,15 +800,15 @@ class TestRankDeterminingSet:
         assert graph.degrees[0] == 2
         # q = x2 and b are the anchors; x1 is a chain from q to b; y3 is the
         # lowest vertex of the loop at b, and a is held at b by a double edge
-        assert graph.rank_determining_set(0) == (0, 1, 4, 6)
+        assert graph.chain_decomposition(0).rank_set == (0, 1, 4, 6)
 
     def test_cached_per_root(self):
         graph = shuffled(TWO_LOOPS, 1)
-        assert graph.rank_determining_set(0) is graph.rank_determining_set(0)
+        assert graph.chain_decomposition(0).rank_set is graph.chain_decomposition(0).rank_set
         # at b, the only anchor there, all three chains close: x2-x1,
         # y3-y2-y1 and a
         assert graph.chain_decomposition(6).anchors == (6,)
-        assert graph.rank_determining_set(6) == (0, 1, 4, 6)
+        assert graph.chain_decomposition(6).rank_set == (0, 1, 4, 6)
 
 
 class TestAnchorScreen:
@@ -822,6 +833,36 @@ class TestAnchorScreen:
     # two closed chains on an anchor other than q
     GRAPHS += [("two loops", TWO_LOOPS), ("two loops shuffled", shuffled(TWO_LOOPS, 1))]
     SAMPLE = 25
+
+    @staticmethod
+    def rank_set_oracle(graph, root):
+        """A from the adjacency alone: the anchors at root, plus the
+        lowest-index vertex of each connected run of degree-2 vertices
+        other than root whose two outer edges end on the same anchor."""
+        degree = [sum(m for _, m in nbrs) for nbrs in graph.adjacency]
+        anchors = {v for v, deg in enumerate(degree) if v == root or deg != 2}
+        chosen, seen = set(anchors), set()
+        for v in range(len(degree)):
+            if v in anchors or v in seen:
+                continue
+            run, stack, ends = {v}, [v], []
+            while stack:
+                for w, m in graph.adjacency[stack.pop()]:
+                    if w in anchors:
+                        ends += [w] * m
+                    elif w not in run:
+                        run.add(w)
+                        stack.append(w)
+            seen |= run
+            assert len(ends) == 2
+            if ends[0] == ends[1]:
+                chosen.add(min(run))
+        return tuple(sorted(chosen))
+
+    @pytest.mark.parametrize("name,graph", GRAPHS + TestEnumerateClasses.CHAIN_GRAPHS)
+    def test_rank_set_matches_adjacency_oracle(self, name, graph):
+        for root in range(len(graph.vertices)):
+            assert graph.chain_decomposition(root).rank_set == self.rank_set_oracle(graph, root)
 
     @pytest.mark.parametrize("name,graph", GRAPHS)
     def test_matches_definition(self, name, graph):
@@ -905,16 +946,16 @@ class TestAnchorScreen:
 
     def test_scan_screens_each_anchor_state_once(self, monkeypatch):
         graph = self.g2()
-        chain_of, _, _, anchors = graph.chain_decomposition(0)
+        bits, _, _, anchors, _ = graph.chain_decomposition(0)
         states = []
         screen = divgraph.divisors._anchor_screen
 
-        def recorder(graph, qi, coeffs, held, r):
+        def recorder(graph, qi, coeffs, r):
             states.append((
                 tuple(coeffs[v] for v in anchors),
-                frozenset(chain_of[v] for v, a in enumerate(coeffs) if a and chain_of[v]),
+                frozenset(bits[v] for v, a in enumerate(coeffs) if a and bits[v]),
             ))
-            return screen(graph, qi, coeffs, held, r)
+            return screen(graph, qi, coeffs, r)
 
         monkeypatch.setattr(divgraph.divisors, "_anchor_screen", recorder)
         _search_one_level(graph, 3, 1, None)
@@ -1020,7 +1061,7 @@ class TestTrialOrder:
         monkeypatch.setattr(divgraph.divisors, "_effective_rep_raw", recorder)
         assert rank_at_least(graph, Divisor(graph, base), 1)
         dist = graph.bfs_distances(0)
-        assert sorted(tried) == list(graph.rank_determining_set(0))
+        assert sorted(tried) == list(graph.chain_decomposition(0).rank_set)
         assert [(-dist[v], v) for v in tried] == sorted((-dist[v], v) for v in tried)
         assert tried != sorted(tried)
 
@@ -1082,73 +1123,3 @@ class TestRefinementInvariance:
             if abs(d.degree) > 4:
                 continue
             assert rank(target, transport(iota, d)) == rank(graph, d)
-
-
-
-class _FirstScreen(Exception):
-    """Ends a _scan_rank call at its first screen."""
-
-
-class TestChainMask:
-    """Two places build the chain mask that _anchor_screen reads, bit c
-    set when chain c holds a chip: the walk's key, and _scan_rank from the
-    reduced form.  For every class at base 0 they must agree, so the
-    screen gives the same verdict from both."""
-
-    @staticmethod
-    def walk_screens(monkeypatch, graph, d):
-        """Per class with D(q) >= 1, the chain bits of the walk's key when
-        the walk with r = 1 screens the class, and the screen's verdict."""
-        chains = graph.chain_decomposition(0).chains
-        chain_bits = sum(1 << c for c in range(1, chains + 1))
-        screen = divgraph.divisors._anchor_screen
-        seen = {}
-
-        def recorder(graph, qi, coeffs, held, r):
-            verdict = screen(graph, qi, coeffs, held, r)
-            seen[tuple(coeffs)] = held & chain_bits, verdict
-            return verdict
-
-        class Unmemoized(dict):
-            # every lookup screens, so each class shows the walk's key
-            def __init__(self, verdict):
-                self.verdict = verdict
-
-            def __missing__(self, key):
-                return self.verdict(key)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(divgraph.divisors, "_Memo", Unmemoized)
-            patch.setattr(divgraph.divisors, "_anchor_screen", recorder)
-            kept = {c for _, c in enumerate_classes(graph, graph.vertices[0], d, 1)}
-        assert {c for c, (_, verdict) in seen.items() if not verdict} == kept - {None}
-        return seen
-
-    @staticmethod
-    def scan_mask(monkeypatch, graph, coeffs):
-        """The mask _scan_rank builds for a class and passes to its first
-        screen."""
-        masks = []
-
-        def first_screen(graph, qi, coeffs, held, r):
-            masks.append(held)
-            raise _FirstScreen
-
-        with monkeypatch.context() as patch:
-            patch.setattr(divgraph.divisors, "_anchor_screen", first_screen)
-            with pytest.raises(_FirstScreen):
-                _scan_rank(graph, Divisor(graph, coeffs))
-        return masks[0]
-
-    @pytest.mark.parametrize("name,graph", TestAnchorScreen.GRAPHS)
-    def test_walk_key_and_scan_mask_agree(self, monkeypatch, name, graph):
-        # every degree that reaches a screen, and every class of it with
-        # D(q) >= 1
-        screened = 0
-        for d in range(1, 2 * genus(graph) - 1):
-            for coeffs, (walk_held, walk_verdict) in self.walk_screens(monkeypatch, graph, d).items():
-                scan_held = self.scan_mask(monkeypatch, graph, coeffs)
-                assert walk_held == scan_held, coeffs
-                assert _anchor_screen(graph, 0, coeffs, scan_held, 1) == walk_verdict, coeffs
-                screened += 1
-        assert screened

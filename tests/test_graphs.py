@@ -154,6 +154,13 @@ class TestSpanningTrees:
         for drop in range(len(graph.vertices)):
             assert kirchhoff_minor_determinant(graph, drop) == expected
 
+    # a drop past the last vertex once kept the whole singular Laplacian
+    # and returned 0
+    @pytest.mark.parametrize("drop", [4, -1, True, 1.5])
+    def test_drop_must_be_a_vertex_index(self, drop):
+        with pytest.raises(InvalidInputError, match="drop"):
+            kirchhoff_minor_determinant(cycle(4), drop)
+
     def test_isolated_first_vertex_has_no_spanning_tree(self):
         # the raw constructor does not check connectivity; each reduced
         # Laplacian is then singular, and a zero pivot ends the elimination
@@ -227,14 +234,16 @@ class TestChainDecomposition:
             [("a", "b"), ("b", "c"), ("c", "a"), ("a", "x"), ("x", "y"), ("y", "a"),
              ("b", "z"), ("z", "w"), ("w", "c")],
         )
-        chain_of, links, chains, anchors = graph.chain_decomposition(0)
+        bits, links, chains, anchors, rank_set = graph.chain_decomposition(0)
         assert anchors == (0, 1, 2)
         assert chains == 2
-        # the closed chain x-y gets an id but no anchor-graph link
-        assert chain_of[3] == chain_of[4] != chain_of[5] == chain_of[6] != 0
+        # the closed chain x-y gets a key bit but no anchor-graph link
+        assert bits[3] == bits[4] != bits[5] == bits[6] != 0
         assert sorted(links[0]) == [(1, 1, 0), (2, 1, 0)]
-        # a chain's link carries its key bit, 1 << chain id
-        assert sorted(links[1]) == [(0, 1, 0), (2, 1, 0), (2, 1, 1 << chain_of[5])]
+        # a chain's link carries its key bit
+        assert sorted(links[1]) == [(0, 1, 0), (2, 1, 0), (2, 1, bits[5])]
+        # A adds x, the lowest vertex of the closed chain, to the anchors
+        assert rank_set == (0, 1, 2, 3)
 
     def test_root_is_an_anchor_and_the_result_is_cached(self):
         graph, _ = refine(banana(2), 1)
