@@ -318,28 +318,40 @@ def laplacian(graph: Multigraph) -> list[list[int]]:
     return mat
 
 
-def _bareiss_determinant(mat: list[list[int]]) -> int:
+def _bareiss_determinant(a: list[list[int]]) -> int:
     """Fraction-free exact determinant (Bareiss elimination) of a positive
-    semidefinite matrix, such as a reduced Laplacian.
+    semidefinite matrix, such as a reduced Laplacian; ``a`` is eliminated in
+    place.
 
     The k-th pivot is the leading principal minor of order k + 1 (Bareiss
     1968), so it needs no row exchange: for a positive definite matrix
     every pivot is positive, and for a positive semidefinite one a zero
     leading principal minor means the determinant is zero.
+
+    Step k reads the pivot row once and rewrites the tail of each row below
+    it, past column k, in one pass over that tail zipped with the pivot
+    row's.  A row with a zero multiplier ``a[i][k]`` is only scaled by
+    ``pivot / prev``, and left as it is when ``pivot == prev``: every
+    division is exact, so the entries stay integers.  Column k below the
+    pivot is never read again, so it is not cleared.
     """
-    a = [row[:] for row in mat]
     n = len(a)
     if n == 0:
         return 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
             return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+        tail = pivot_row[k + 1:]
+        for row in a[k + 1:]:
+            m = row[k]
+            if m:
+                row[k + 1:] = [(x * pivot - m * y) // prev for x, y in zip(row[k + 1:], tail)]
+            elif pivot != prev:
+                row[k + 1:] = [x * pivot // prev for x in row[k + 1:]]
+        prev = pivot
     return a[n - 1][n - 1]
 
 
@@ -347,24 +359,33 @@ def kirchhoff_minor_determinant(graph: Multigraph, drop: int = 0) -> int:
     """Determinant of the Laplacian with row and column ``drop`` deleted.
 
     By the matrix-tree theorem this equals the spanning tree count for any
-    choice of ``drop``.  ``drop`` must be a vertex index: an integer from 0
-    to ``len(graph.vertices) - 1``, else :class:`InvalidInputError`.
+    choice of ``drop``.  The (n - 1) x (n - 1) minor is built straight from
+    :attr:`Multigraph.adjacency` and eliminated in place by
+    :func:`_bareiss_determinant`, in exact integers.  ``drop`` must be a
+    vertex index: an integer from 0 to ``len(graph.vertices) - 1``, else
+    :class:`InvalidInputError`.
     """
-    if check_int(drop, "drop", 0) >= len(graph.vertices):
-        raise InvalidInputError(
-            f"drop must be a vertex index below {len(graph.vertices)}, got {drop}"
-        )
-    full = laplacian(graph)
-    minor = [
-        [full[i][j] for j in range(len(full)) if j != drop]
-        for i in range(len(full))
-        if i != drop
-    ]
+    n = len(graph.vertices)
+    if check_int(drop, "drop", 0) >= n:
+        raise InvalidInputError(f"drop must be a vertex index below {n}, got {drop}")
+    # row and column of vertex v in the minor
+    pos = [v - (v > drop) for v in range(n)]
+    minor = [[0] * (n - 1) for _ in range(n - 1)]
+    for v, (nbrs, degree) in enumerate(zip(graph.adjacency, graph.degrees)):
+        if v == drop:
+            continue
+        row = minor[pos[v]]
+        row[pos[v]] = degree
+        for w, m in nbrs:
+            if w != drop:
+                row[pos[w]] -= m
     return _bareiss_determinant(minor)
 
 
 def spanning_tree_count(graph: Multigraph) -> int:
-    """Number of spanning trees, exact (matrix-tree / Kirchhoff)."""
+    """Number of spanning trees, exact: by the matrix-tree theorem
+    (Kirchhoff), the Bareiss determinant of the Laplacian with the first
+    vertex's row and column deleted."""
     return kirchhoff_minor_determinant(graph, 0)
 
 

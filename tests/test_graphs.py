@@ -19,7 +19,7 @@ from divgraph import (
     spanning_tree_count,
     transport,
 )
-from divgraph.families import banana, cycle, theta
+from divgraph.families import banana, cycle, random_multigraph, theta
 from divgraph.graphs import MAX_GRAPH_SIZE
 
 from conftest import CORPUS, spanning_trees_bruteforce
@@ -163,11 +163,57 @@ class TestSpanningTrees:
 
     def test_isolated_first_vertex_has_no_spanning_tree(self):
         # the raw constructor does not check connectivity; each reduced
-        # Laplacian is then singular, and a zero pivot ends the elimination
-        graph = Multigraph(("a", "b", "c", "d"), (("b", "c", 2), ("c", "d", 1), ("b", "d", 1)))
-        assert spanning_trees_bruteforce(graph) == 0
-        for drop in range(4):
-            assert kirchhoff_minor_determinant(graph, drop) == 0
+        # Laplacian is then singular, and a zero pivot ends the elimination,
+        # at the first step or, with the isolated vertex further on, later
+        edges = (("b", "c", 2), ("c", "d", 1), ("b", "d", 1))
+        for vertices in (("a", "b", "c", "d"), ("b", "c", "a", "d"), ("b", "c", "d", "a")):
+            graph = Multigraph(vertices, edges)
+            assert spanning_trees_bruteforce(graph) == 0
+            for drop in range(4):
+                assert kirchhoff_minor_determinant(graph, drop) == 0
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            build_graph(["c", "x", "y", "z"], [("c", "x"), ("c", "y"), ("c", "z")]),
+            build_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
+        ],
+        ids=["star", "path"],
+    )
+    def test_tree_has_one_spanning_tree_at_every_drop(self, graph):
+        # the star dropped at its centre leaves the identity: every row
+        # takes the pivot == prev skip; the path dropped at d mixes full
+        # updates with skips
+        for drop in range(len(graph.vertices)):
+            assert kirchhoff_minor_determinant(graph, drop) == 1
+
+
+def _refinement_cases():
+    bases = [(name, graph, (1, 2, 7)) for name, graph in CORPUS]
+    bases += [
+        (f"random({n},{m},{s})", random_multigraph(n, m, s), (15, 23))
+        for n, m in ((5, 8), (6, 9))
+        for s in (1, 2)
+    ]
+    return [
+        pytest.param(graph, k, id=f"{name}^({k})") for name, graph, ks in bases for k in ks
+    ]
+
+
+class TestRefinementIdentity:
+    """tau(G^(k)) = tau(G) (k + 1)^g, an oracle that computes no
+    determinant: a spanning tree of G^(k) is a spanning tree T of G with
+    each of the g edges outside T cut at one of its k + 1 segments."""
+
+    @pytest.mark.parametrize("graph,k", _refinement_cases())
+    def test_tree_count_of_refinement(self, graph, k):
+        refined, _ = refine(graph, k)
+        expected = spanning_trees_bruteforce(graph) * (k + 1) ** genus(graph)
+        assert spanning_tree_count(refined) == expected
+        n = len(refined.vertices)
+        # the last row is the one the benchmark checks read
+        for drop in (n // 2, n - 1):
+            assert kirchhoff_minor_determinant(refined, drop) == expected
 
 
 class TestRefine:
