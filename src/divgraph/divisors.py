@@ -129,25 +129,18 @@ def fire_set(graph: Multigraph, divisor: Divisor, subset: Iterable[str]) -> Divi
     """Fire every vertex of ``subset`` once.
 
     Each member loses one chip per edge leaving the set, each outside
-    vertex gains one per edge into the set.  This is the principal divisor
-    of the indicator function of the set, so the result is linearly
-    equivalent and of the same degree.
+    vertex gains one per edge into the set: the result is ``divisor``
+    minus the :func:`principal_divisor` of the indicator function of the
+    set, so it is linearly equivalent and of the same degree.
     """
     _require_graph(graph, divisor)
-    in_set = [False] * len(graph.vertices)
+    indicator = {}
     for v in subset:
-        in_set[graph.vertex_index(v, "firing-set vertex")] = True
-    if all(in_set) or not any(in_set):
+        graph.vertex_index(v, "firing-set vertex")
+        indicator[v] = 1
+    if not 0 < len(indicator) < len(graph.vertices):
         raise EmptyOrFullSetError("firing set must be a nonempty proper vertex subset")
-    coeffs = list(divisor.coeffs)
-    for i, inside in enumerate(in_set):
-        if not inside:
-            continue
-        for j, m in graph.adjacency[i]:
-            if not in_set[j]:
-                coeffs[i] -= m
-                coeffs[j] += m
-    return Divisor(graph, tuple(coeffs))
+    return -principal_divisor(graph, indicator) + divisor
 
 
 def principal_divisor(graph: Multigraph, potential: Mapping[str, int]) -> Divisor:
@@ -693,20 +686,16 @@ def enumerate_classes(
             yield tuple(coeffs)
             j = size - 1
         else:
-            if spare >= r:
-                if position == limit:
-                    yield limit + 1, None
-                    return
-                if not screened(key):
-                    yield position, tuple(coeffs)
+            if spare >= r and position < limit and not screened(key):
+                yield position, tuple(coeffs)
             if spare > r:
                 position += 1
                 j = size - 1
             else:
                 position += count(j + 1, key, limit - position)
-                if position > limit:
-                    yield limit + 1, None
-                    return
+            if position > limit:
+                yield limit + 1, None
+                return
         for j in range(j, -1, -1):
             v = order[j]
             a = coeffs[v]

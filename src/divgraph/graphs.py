@@ -320,8 +320,10 @@ def laplacian(graph: Multigraph) -> list[list[int]]:
 
 def _bareiss_determinant(a: list[list[int]]) -> int:
     """Fraction-free exact determinant (Bareiss elimination) of a positive
-    semidefinite matrix, such as a reduced Laplacian; ``a`` is eliminated in
-    place.
+    semidefinite matrix, such as the Laplacian minor that
+    :func:`kirchhoff_minor_determinant` cuts from :func:`laplacian`; ``a``
+    is eliminated in place, so the caller hands over a matrix it no longer
+    needs.
 
     The k-th pivot is the leading principal minor of order k + 1 (Bareiss
     1968), so it needs no row exchange: for a positive definite matrix
@@ -359,8 +361,8 @@ def kirchhoff_minor_determinant(graph: Multigraph, drop: int = 0) -> int:
     """Determinant of the Laplacian with row and column ``drop`` deleted.
 
     By the matrix-tree theorem this equals the spanning tree count for any
-    choice of ``drop``.  The (n - 1) x (n - 1) minor is built straight from
-    :attr:`Multigraph.adjacency` and eliminated in place by
+    choice of ``drop``.  The minor is the matrix of :func:`laplacian` with
+    row and column ``drop`` deleted in place, eliminated in place by
     :func:`_bareiss_determinant`, in exact integers.  ``drop`` must be a
     vertex index: an integer from 0 to ``len(graph.vertices) - 1``, else
     :class:`InvalidInputError`.
@@ -368,17 +370,10 @@ def kirchhoff_minor_determinant(graph: Multigraph, drop: int = 0) -> int:
     n = len(graph.vertices)
     if check_int(drop, "drop", 0) >= n:
         raise InvalidInputError(f"drop must be a vertex index below {n}, got {drop}")
-    # row and column of vertex v in the minor
-    pos = [v - (v > drop) for v in range(n)]
-    minor = [[0] * (n - 1) for _ in range(n - 1)]
-    for v, (nbrs, degree) in enumerate(zip(graph.adjacency, graph.degrees)):
-        if v == drop:
-            continue
-        row = minor[pos[v]]
-        row[pos[v]] = degree
-        for w, m in nbrs:
-            if w != drop:
-                row[pos[w]] -= m
+    minor = laplacian(graph)
+    del minor[drop]
+    for row in minor:
+        del row[drop]
     return _bareiss_determinant(minor)
 
 

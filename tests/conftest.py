@@ -5,6 +5,8 @@ trees are counted by enumerating edge subsets, linear equivalence is decided
 by solving the reduced Laplacian system over exact rationals (effectivity
 by scanning the effective divisors of the same degree for one in the class),
 and q-reducedness is tested by scanning all vertex subsets for a fireable set.
+Treewidth, exact by a dynamic program over vertex subsets, gives a floor
+under every witness's degree that no rank check enters.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ from fractions import Fraction
 
 import pytest
 
-from divgraph import Divisor, Multigraph, build_graph, enumerate_classes, is_reduced, laplacian
+from divgraph import (
+    Divisor,
+    Multigraph,
+    build_graph,
+    enumerate_classes,
+    genus,
+    has_effective_rep,
+    is_reduced,
+    laplacian,
+)
 from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
 RANDOM_SEEDS = (101, 202, 303)
@@ -124,6 +135,20 @@ def equivalent_oracle(graph: Multigraph, d1: Divisor, d2: Divisor) -> bool:
     return is_principal_oracle(graph, [x - y for x, y in zip(d1.coeffs, d2.coeffs)])
 
 
+def definitional_rank(graph: Multigraph, d: Divisor, top=None) -> int:
+    """The largest r such that D - E is equivalent to an effective divisor
+    for every effective E of degree r, with no Riemann-Roch shortcut; at
+    most ``top`` when given."""
+    n = len(graph.vertices)
+    r = -1
+    while (top is None or r < top) and all(
+        has_effective_rep(graph, d - Divisor(graph, tuple(map(combo.count, range(n)))))
+        for combo in itertools.combinations_with_replacement(range(n), r + 1)
+    ):
+        r += 1
+    return r
+
+
 def is_reduced_by_subsets(graph: Multigraph, coeffs, qi: int) -> bool:
     """Direct definition of q-reduced: non-negative off q and no nonempty
     subset avoiding q can fire without going negative."""
@@ -182,6 +207,74 @@ def cut_walk(items: list[tuple], limit: int) -> list[tuple]:
     ``(limit + 1, None)`` if a class lies there."""
     *kept, (total, _) = items
     return [(i, coeffs) for i, coeffs in kept if i < limit] + [(min(total, limit + 1), None)]
+
+
+def _members(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def treewidth(graph: Multigraph) -> int:
+    """Exact treewidth of the graph's simple graph, at most 14 vertices.
+
+    The O*(2^n) elimination-order dynamic program (Bodlaender, Fomin,
+    Koster, Kratsch and Thilikos, "On exact algorithms for treewidth", ACM
+    TALG 2012): TW(S), the best width of an order that eliminates S first,
+    is the least over v in S of max(TW(S - v), |Q(S - v, v)|), where
+    Q(S, v) holds the vertices outside S + v that v reaches through S, and
+    the treewidth is TW(V).  Multiplicities play no part.
+    """
+    n = len(graph.vertices)
+    assert n <= 14, "the subset dynamic program is exponential in the vertex count"
+    nbrs = [0] * n
+    for v, adj in enumerate(graph.adjacency):
+        for w, _ in adj:
+            nbrs[v] |= 1 << w
+
+    def q_size(s: int, v: int) -> int:
+        reach = frontier = 1 << v
+        border = 0
+        while frontier:
+            step = 0
+            for u in _members(frontier):
+                step |= nbrs[u]
+            border |= step
+            frontier = step & s & ~reach
+            reach |= frontier
+        return bin(border & ~s & ~(1 << v)).count("1")
+
+    tw = [-1] * (1 << n)
+    for s in range(1, 1 << n):
+        tw[s] = min(max(tw[s ^ (1 << v)], q_size(s ^ (1 << v), v)) for v in _members(s))
+    return tw[-1]
+
+
+def refined_treewidth(graph: Multigraph, k: int) -> int:
+    """tw(G^(k)) from tw(G): max(tw(G), 2) for k >= 1 and g >= 1, else
+    tw(G).  G's simple graph is a minor of G^(k), subdividing an edge
+    never raises a treewidth of 2 or more, and for g >= 1 the subdivided
+    parallel edges or cycles of G^(k) hold a cycle, so tw(G^(k)) >= 2.  A
+    tree stays a tree."""
+    tw = treewidth(graph)
+    return max(tw, 2) if k and genus(graph) else tw
+
+
+def assert_treewidth_floor(graph: Multigraph, k: int, d: int, r: int) -> None:
+    """Assert d - r + 1 >= tw(G^(k)) for a witness of degree d and rank at
+    least r >= 1 on G^(k); a rank-0 witness bounds nothing.
+
+    Taking any effective E of degree r - 1 off the witness leaves rank at
+    least r - (r - 1) = 1, so the divisorial gonality of G^(k) is at most
+    d - r + 1, and gonality is at least treewidth (van Dobben de Bruyn and
+    Gijswijt, "Treewidth is a lower bound on graph gonality", Algebraic
+    Combinatorics 2020).  No rank check takes part, so a check that passes
+    a class of too low a degree fails here."""
+    if r >= 1:
+        floor = refined_treewidth(graph, k)
+        assert d - r + 1 >= floor, f"degree {d}, rank {r} on a graph of treewidth {floor}"
 
 
 def shuffled(graph: Multigraph, seed: int) -> Multigraph:

@@ -39,7 +39,7 @@ from divgraph import (
 )
 from divgraph.families import banana, cycle, theta
 
-from conftest import CORPUS, equivalent_oracle, superstable_by_subsets
+from conftest import CORPUS, assert_treewidth_floor, equivalent_oracle, superstable_by_subsets
 
 
 class Criterion:
@@ -90,6 +90,7 @@ def test_criterion_3_search_on_doubled_triangle():
         # independent definitional re-verification
         assert rank_at_least(graph, witness, 1)
         assert rank(graph, witness) >= 1
+        assert_treewidth_floor(graph, result.k, witness.degree, 1)
 
 
 def test_criterion_4_riemann_roch_suite():

@@ -36,7 +36,14 @@ from divgraph import (
 from divgraph.brill_noether import _search_one_level, legacy_bound_min_digits
 from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 
-from conftest import cut_walk, path3, screened_walk, shuffled  # noqa: F401  (path3 is a fixture)
+from conftest import (  # noqa: F401  (path3 is a fixture)
+    CORPUS,
+    assert_treewidth_floor,
+    cut_walk,
+    path3,
+    screened_walk,
+    shuffled,
+)
 
 
 class TestRho:
@@ -223,19 +230,22 @@ class TestBoundReport:
             bound_report(9, 5, 1)
 
 
-def verify_witness(result, graph_degree, r):
+def verify_witness(graph, result, graph_degree, r):
+    """A found witness on ``graph``'s refinement G^(k): its degree, its
+    rank through both rank paths, and the treewidth floor."""
     assert result.found
     witness = result.witness
     assert witness.degree == graph_degree
     assert rank_at_least(witness.graph, witness, r)
     assert rank(witness.graph, witness) >= r
+    assert_treewidth_floor(graph, result.k, graph_degree, r)
 
 
 class TestFindGdr:
     def test_doubled_triangle_g13(self, theta222):
         result = find_gdr(theta222, 3, 1)
         assert result.found and result.k == 0
-        verify_witness(result, 3, 1)
+        verify_witness(theta222, result, 3, 1)
         assert is_equivalent(theta222, result.witness, Divisor(theta222, (1, 1, 1)))
 
     @pytest.mark.parametrize("g", [1, 2])
@@ -246,7 +256,7 @@ class TestFindGdr:
         graph = banana(g)
         result = find_gdr(graph, 2, 1)
         assert result.found and result.k == 0
-        verify_witness(result, 2, 1)
+        verify_witness(graph, result, 2, 1)
         if g == 2:
             # the only rank-1 class in degree 2; for g = 1 the shortcut
             # path may return any class
@@ -258,13 +268,15 @@ class TestFindGdr:
         _, graph = name_graph
         result = find_gdr(graph, d, 0)
         assert result.found and result.k == 0
-        verify_witness(result, d, 0)
+        verify_witness(graph, result, d, 0)
 
     def test_riemann_roch_shortcut_path(self):
         graph = cycle(4)  # g = 1; d - g >= r for d = 3, r = 1
         result = find_gdr(graph, 3, 1)
         assert result.found and result.k == 0 and result.classes_examined == 1
-        verify_witness(result, 3, 1)
+        verify_witness(graph, result, 3, 1)
+        # 3*(v0) is already v0-reduced, so it is the witness as it is
+        assert result.witness.to_map() == {"v0": 3}
 
     def test_negative_rho_refused(self):
         # rho(9, 5, 1) = -1
@@ -281,6 +293,7 @@ class TestFindGdr:
     def test_max_k_override(self, theta222):
         result = find_gdr(theta222, 3, 1, SearchLimits(max_k=0))
         assert result.found and result.k == 0
+        verify_witness(theta222, result, 3, 1)
 
     @pytest.mark.parametrize(
         "limits,examined,exhausted,limit_hit",
@@ -438,12 +451,14 @@ class TestRefinedPins:
         result = find_gdr(refined(base, k, reverse), d, r)
         assert (result.found, result.k, result.classes_examined) == (True, 0, examined)
         assert result.witness.to_map() == witness
+        assert_treewidth_floor(base, k, d, r)
 
     @pytest.mark.parametrize("base,k,reverse,d,examined,witness", GONALITY)
     def test_gonality_search(self, base, k, reverse, d, examined, witness):
         result = gonality_search(refined(base, k, reverse), 1, 4)
         assert (result.found, result.d, result.classes_examined) == (True, d, examined)
         assert result.witness.to_map() == witness
+        assert_treewidth_floor(base, k, d, 1)
 
 
 def reference_scan(graph, d, r, budget):
@@ -530,15 +545,18 @@ class TestGonality:
         result = gonality_search(cycle(n), 1, 3)
         assert result.found and result.d == 2
         assert rank(cycle(n), result.witness) >= 1
+        assert_treewidth_floor(cycle(n), 0, result.d, 1)
 
     def test_tree_gonality_one(self, path3):
         result = gonality_search(path3, 1, 2)
         assert result.found and result.d == 1
+        assert_treewidth_floor(path3, 0, result.d, 1)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_banana_gonality_two(self, g):
         result = gonality_search(banana(g), 1, 3)
         assert result.found and result.d == 2
+        assert_treewidth_floor(banana(g), 0, result.d, 1)
         # no degree-1 divisor has rank 1: every class fails
         assert not any(
             rank_at_least(banana(g), Divisor(banana(g), coeffs), 1)
@@ -548,3 +566,22 @@ class TestGonality:
     def test_not_found_within_budget(self):
         result = gonality_search(theta(2, 2, 2), 3, 2)
         assert not result.found and result.d is None
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("name,graph", CORPUS)
+    def test_gonality_meets_treewidth_floor(self, name, graph, k):
+        level, _ = refine(graph, k)
+        # the sum of all vertices has rank >= 1, so the scan ends by d = n
+        result = gonality_search(level, 1, len(level.vertices))
+        assert result.found and rank(level, result.witness) >= 1
+        assert_treewidth_floor(graph, k, result.d, 1)
+        # the least degree at which rank_at_least passes a class, with no
+        # anchor screen in front of it: the same gonality
+        q = level.vertices[0]
+        least = next(
+            d
+            for d in range(len(level.vertices) + 1)
+            if any(rank_at_least(level, Divisor(level, c), 1) for c in enumerate_classes(level, q, d))
+        )
+        assert_treewidth_floor(graph, k, least, 1)
+        assert least == result.d

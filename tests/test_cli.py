@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,11 @@ import pytest
 
 import divgraph.brill_noether
 import divgraph.cli
+from divgraph import Divisor, canonical, genus, vertex_divisor
 from divgraph.cli import main
+from divgraph.families import from_spec
+
+from conftest import definitional_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -182,6 +187,28 @@ class TestGraphCommands:
         )
         assert code == 0
         assert report["residual"] == 0 and report["ok"] is True
+
+    @pytest.mark.parametrize("spec", ["theta(2,2,2)", "random(4,6,101)"])
+    def test_rr_verify_ranks_match_the_definition(self, capsys, tmp_path, spec):
+        # rank_canonical_minus is read off rank by Riemann-Roch; both are
+        # checked against the definitional rank of D and of K - D, at every
+        # degree from -1 to 2g, on d*(v0) and on a spread divisor
+        graph = from_spec(spec)
+        g = genus(graph)
+        k = canonical(graph)
+        rng = random.Random(17)
+        div = tmp_path / "d.div"
+        for degree in range(-1, 2 * g + 1):
+            spread = [rng.randint(-1, 2) for _ in graph.vertices]
+            spread[-1] += degree - sum(spread)
+            for d in (vertex_divisor(graph, "v0", degree), Divisor(graph, tuple(spread))):
+                div.write_text(json.dumps(d.to_map()), encoding="utf-8")
+                code, report = run_json(capsys, "rr-verify", "--graph", spec, "--divisor", str(div))
+                assert code == 0
+                assert report["degree"] == degree and report["genus"] == g
+                assert report["rank"] == definitional_rank(graph, d), d
+                assert report["rank_canonical_minus"] == definitional_rank(graph, k - d), d
+                assert report["residual"] == 0 and report["ok"] is True
 
     # the rest of a valid command line for each subcommand taking --graph;
     # parsing fails before any file is read

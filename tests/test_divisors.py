@@ -43,6 +43,7 @@ from divgraph.families import banana, cycle, random_multigraph, theta
 from conftest import (
     CORPUS,
     cut_walk,
+    definitional_rank,
     effective_oracle,
     equivalent_oracle,
     is_principal_oracle,
@@ -51,20 +52,6 @@ from conftest import (
     shuffled,
     superstable_by_subsets,
 )
-
-
-def definitional_rank(graph, d, top=None):
-    """The largest r such that D - E is equivalent to an effective divisor
-    for every effective E of degree r, with no Riemann-Roch shortcut; at
-    most ``top`` when given."""
-    n = len(graph.vertices)
-    r = -1
-    while (top is None or r < top) and all(
-        has_effective_rep(graph, d - Divisor(graph, tuple(map(combo.count, range(n)))))
-        for combo in itertools.combinations_with_replacement(range(n), r + 1)
-    ):
-        r += 1
-    return r
 
 
 class TestFireSet:

@@ -1,5 +1,7 @@
 """Graph construction, genus, Laplacian, tree counting, refinement."""
 
+import itertools
+
 import pytest
 
 from divgraph import (
@@ -22,7 +24,7 @@ from divgraph import (
 from divgraph.families import banana, cycle, random_multigraph, theta
 from divgraph.graphs import MAX_GRAPH_SIZE
 
-from conftest import CORPUS, spanning_trees_bruteforce
+from conftest import CORPUS, refined_treewidth, spanning_trees_bruteforce, treewidth
 
 
 class TestBuildGraph:
@@ -214,6 +216,63 @@ class TestRefinementIdentity:
         # the last row is the one the benchmark checks read
         for drop in (n // 2, n - 1):
             assert kirchhoff_minor_determinant(refined, drop) == expected
+
+
+def complete(n):
+    vertices = [f"v{i}" for i in range(n)]
+    return build_graph(vertices, list(itertools.combinations(vertices, 2)))
+
+
+def grid(rows, cols):
+    vertices = [f"{i},{j}" for i in range(rows) for j in range(cols)]
+    edges = [(f"{i},{j}", f"{i},{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    edges += [(f"{i},{j}", f"{i + 1},{j}") for i in range(rows - 1) for j in range(cols)]
+    return build_graph(vertices, edges)
+
+
+PETERSEN = build_graph(
+    [f"v{i}" for i in range(10)],
+    [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]
+    + [(f"v{i}", f"v{i + 5}") for i in range(5)]
+    + [(f"v{i + 5}", f"v{(i + 2) % 5 + 5}") for i in range(5)],
+)
+
+
+def _treewidth_rule_cases():
+    bases = [*CORPUS, ("path3", build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")]))]
+    bases += [("K4", complete(4))]
+    return [
+        pytest.param(graph, k, id=f"{name}^({k})")
+        for name, graph in bases
+        for k in (1, 2)
+        if len(graph.vertices) + k * graph.num_edges <= 14
+    ]
+
+
+class TestTreewidthOracle:
+    """The exact treewidth of the test oracles, and the rule for
+    tw(G^(k)) that the witness floor reads."""
+
+    @pytest.mark.parametrize(
+        "graph,expected",
+        [
+            *(pytest.param(complete(n), n - 1, id=f"K{n}") for n in range(1, 8)),
+            pytest.param(PETERSEN, 4, id="petersen"),
+            pytest.param(grid(3, 3), 3, id="grid3x3"),
+            pytest.param(grid(4, 3), 3, id="grid4x3"),
+            pytest.param(cycle(6), 2, id="cycle6"),
+            pytest.param(banana(3), 1, id="banana3"),
+            pytest.param(
+                build_graph(["c", "x", "y", "z"], [("c", "x"), ("c", "y"), ("c", "z")]), 1, id="star"
+            ),
+        ],
+    )
+    def test_known_values(self, graph, expected):
+        assert treewidth(graph) == expected
+
+    @pytest.mark.parametrize("graph,k", _treewidth_rule_cases())
+    def test_refinement_rule_matches_dp(self, graph, k):
+        assert refined_treewidth(graph, k) == treewidth(refine(graph, k)[0])
 
 
 class TestRefine:
