@@ -49,9 +49,10 @@ class Divisor:
         :func:`check_int`."""
         coeffs = [0] * len(graph.vertices)
         for v, c in values.items():
-            coeffs[graph.vertex_index(v, "divisor vertex")] = check_int(
-                c, f"divisor coefficient for {v!r}"
-            )
+            # the message is built only for a value that fails the check
+            if type(c) is not int:
+                check_int(c, f"divisor coefficient for {v!r}")
+            coeffs[graph.vertex_index(v, "divisor vertex")] = c
         return cls(graph, tuple(coeffs))
 
     @classmethod
@@ -155,27 +156,51 @@ def principal_divisor(graph: Multigraph, potential: Mapping[str, int]) -> Diviso
     return Divisor(graph, tuple(coeffs))
 
 
-def _dhar_burnt(graph: Multigraph, coeffs: Sequence[int], q: int) -> list[bool]:
-    """Per vertex index, whether Dhar's burning process started at q burns it.
+def _dhar_burnt(
+    graph: Multigraph, coeffs: Sequence[int], q: int
+) -> tuple[list[bool], list[int]]:
+    """Dhar's burning process started at q: per vertex index, whether it
+    burns, and its heat.
 
-    A vertex burns once its count of edges to burnt vertices exceeds its
-    coefficient.  The configuration is superstable iff every vertex burns.
+    A vertex burns once its heat, its count of edges to burnt vertices,
+    exceeds its coefficient.  The configuration is superstable iff every
+    vertex burns.  The heat of an unburnt vertex ends as its edge count
+    into the burnt set, the chips it loses when the unburnt set fires.
     """
     n = len(graph.vertices)
     burnt = [False] * n
     burnt[q] = True
-    queue = [q]
-    heat = [0] * n  # edge count into the burnt region so far
-    adjacency = graph.adjacency
+    heat = [0] * n
+    _burn_on(graph.adjacency, coeffs, burnt, heat, [q])
+    return burnt, heat
+
+
+def _burn_on(
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    cap: Sequence[int] | Mapping[int, int],
+    burnt: list[bool],
+    heat: list[int],
+    queue: list[int],
+) -> None:
+    """Go on with a Dhar burn from the burnt vertices in ``queue``, whose
+    fire has not spread yet: a vertex burns once its heat exceeds its
+    ``cap``.  ``burnt`` and ``heat`` are updated in place.
+
+    With ``cap[v] = coeffs[v] // k``, for a multiplicity k >= 1, a vertex
+    burns once k times its heat exceeds its coefficient.  The unburnt set
+    can then fire k times without a vertex going negative, and every set
+    avoiding the burnt ones that can fire k times stays unburnt.  A burn
+    at a larger k burns a superset, so it may resume from the state of a
+    burn at a smaller one.
+    """
     while queue:
         v = queue.pop()
         for w, m in adjacency[v]:
             if not burnt[w]:
                 heat[w] += m
-                if heat[w] > coeffs[w]:
+                if heat[w] > cap[w]:
                     burnt[w] = True
                     queue.append(w)
-    return burnt
 
 
 def _reduce_coeffs(
@@ -188,9 +213,19 @@ def _reduce_coeffs(
     along the edges between layers i - 1 and i (in BFS order every edge
     leaving the set joins those two layers), so it raises every distance-i
     vertex by its edge count into layer i - 1 and leaves vertices farther
-    than i untouched.  Phase 2 superstabilizes with Dhar's algorithm, firing
-    the maximal unburnt set (with the largest multiplicity that keeps its
-    members non-negative) until everything burns.
+    than i untouched.  Phase 2 superstabilizes with Dhar's algorithm until
+    everything burns: each round burns from q and fires a set left
+    unburnt, each member losing its heat per firing.
+
+    Firing the maximal unburnt set as often as its members allow moves a
+    large pile slowly when a member with few chips caps the count.  So
+    each round fires the set of :func:`_fire_often`: it doubles the
+    multiplicity of a threshold burn while the burn still leaves a set
+    unburnt, and fires the last such set as often as its members allow.
+    The rounds then grow with the bit length of the coefficients, not with
+    their size.  A chip that slides along a long chain of degree-2
+    vertices still takes one round per step.  Every firing is legal and q
+    never fires, so the result is the same unique q-reduced divisor.
 
     Phase 2 never fires q and keeps every other vertex non-negative, so
     ``coeffs[q]`` only grows there.  With ``until_effective`` the loop stops
@@ -219,19 +254,58 @@ def _reduce_coeffs(
     while True:
         if until_effective and coeffs[q] >= 0:
             return coeffs
-        burnt = _dhar_burnt(graph, coeffs, q)
-        unburnt = [v for v in range(n) if not burnt[v]]
-        if not unburnt:
+        burnt, heat = _dhar_burnt(graph, coeffs, q)
+        fire = [v for v in range(n) if not burnt[v]]
+        if not fire:
             return coeffs
-        outdeg = {v: sum(m for w, m in adjacency[v] if burnt[w]) for v in unburnt}
-        # interior vertices of the unburnt set lose nothing when it fires;
-        # cut vertices satisfy coeff >= outdeg at a Dhar fixed point
-        rounds = min(coeffs[v] // outdeg[v] for v in unburnt if outdeg[v] > 0)
-        for v in unburnt:
-            coeffs[v] -= rounds * outdeg[v]
+        fire, rounds = _fire_often(adjacency, coeffs, burnt, heat, fire)
+        for v in fire:
+            coeffs[v] -= rounds * heat[v]
             for w, m in adjacency[v]:
                 if burnt[w]:
                     coeffs[w] += rounds * m
+
+
+def _fire_often(
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    coeffs: Sequence[int],
+    burnt: list[bool],
+    heat: list[int],
+    fire: list[int],
+) -> tuple[list[int], int]:
+    """A set that fires often, and how often: from the nonempty unburnt
+    set ``fire`` of a burn from q, with that burn's ``burnt`` and ``heat``
+    (updated in place).
+
+    The set can fire ``rounds`` times, as often as its members allow.  The
+    burn resumes at the multiplicity k = 2 * rounds of :func:`_burn_on`;
+    while it leaves a set unburnt, that set, which allows at least k
+    firings, takes the place of ``fire``.  The last set left, which no set
+    can outdo at twice its count, is returned with its count, and
+    ``burnt`` and ``heat`` are put back to those of its burn.
+    """
+    while True:
+        # interior vertices of the set lose nothing when it fires, and a
+        # member with heat h > 0 allows coeffs // h firings
+        rounds = min(coeffs[v] // heat[v] for v in fire if heat[v])
+        k = 2 * rounds
+        # a set that can fire k times has a member with an edge out of it,
+        # and k chips for each such edge
+        if not any(coeffs[v] >= k * (heat[v] or 1) for v in fire):
+            return fire, rounds
+        loss = [heat[v] for v in fire]
+        cap = {v: coeffs[v] // k for v in fire}
+        queue = [v for v in fire if heat[v] > cap[v]]
+        for v in queue:
+            burnt[v] = True
+        _burn_on(adjacency, cap, burnt, heat, queue)
+        left = [v for v in fire if not burnt[v]]
+        if not left:
+            for v, h in zip(fire, loss):
+                burnt[v] = False
+                heat[v] = h
+            return fire, rounds
+        fire = left
 
 
 def _require_graph(graph: Multigraph, divisor: Divisor) -> None:
@@ -264,7 +338,7 @@ def is_reduced(graph: Multigraph, divisor: Divisor, q: str) -> bool:
     qi = _base_index(graph, divisor, q)
     if any(c < 0 for i, c in enumerate(divisor.coeffs) if i != qi):
         return False
-    return all(_dhar_burnt(graph, divisor.coeffs, qi))
+    return all(_dhar_burnt(graph, divisor.coeffs, qi)[0])
 
 
 def is_equivalent(graph: Multigraph, d1: Divisor, d2: Divisor) -> bool:
@@ -340,7 +414,8 @@ def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
     r = 1, E = (v) ranges over the set ``A`` that
     :meth:`Multigraph.chain_decomposition` at q records as ``rank_set``:
     the anchors and one vertex of each closed chain, which settle the
-    verdict exactly (Luo 2011, Hladky-Kral-Norine 2013).  These trials run
+    verdict exactly (Luo 2011, Hladky-Kral-Norine 2013); the first trial
+    has settled E = (q) already.  These trials run
     in decreasing BFS distance from q, ties in index order, so a failing
     check mostly fails on its first trial; every trial must pass, so the
     order never changes the verdict.  For r >= 2, E ranges over size-r vertex multisets in
@@ -352,9 +427,10 @@ def _rank_core(graph: Multigraph, base: Sequence[int], r: int) -> bool:
         return True
     if r == 1:
         # a q-reduced divisor sits near q: the vertex it cannot reach is
-        # most often a far one
+        # most often a far one.  rank_set[0] is q, whose trial the test of
+        # base[0] above has passed
         far_first = sorted(
-            graph.chain_decomposition(0).rank_set,
+            graph.chain_decomposition(0).rank_set[1:],
             key=graph.bfs_distances(0).__getitem__,
             reverse=True,
         )

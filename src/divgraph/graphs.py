@@ -121,12 +121,18 @@ class Multigraph:
         return records
 
     def _edge_record(self, u: str, v: str) -> Optional[tuple[int, int]]:
-        """The record of the edges between u and v, or None; both names go
-        through :meth:`vertex_index`."""
+        """The record of the edges between u and v, or None.  Two strings
+        that name an edge are answered by the lookup alone; otherwise both
+        names go through :meth:`vertex_index`, which raises for a name
+        that is not a string or not a vertex."""
+        if isinstance(u, str) and isinstance(v, str):
+            records = self._edge_records
+            record = records.get((u, v)) or records.get((v, u))
+            if record is not None:
+                return record
         self.vertex_index(u, "edge endpoint")
         self.vertex_index(v, "edge endpoint")
-        records = self._edge_records
-        return records.get((u, v)) or records.get((v, u))
+        return None
 
     def edge_index(self, u: str, v: str, copy: int = 0) -> int:
         """Position of the ``copy``-th parallel edge between u and v in
@@ -284,7 +290,8 @@ def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigrap
             raise UnknownVertexError(f"edge endpoint {v!r} is not a declared vertex")
         if u == v:
             raise LoopEdgeError(f"loop edge at {u!r}")
-        check_int(m, f"edge ({u},{v}) multiplicity", 1)
+        if type(m) is not int or m < 1:
+            check_int(m, f"edge ({u},{v}) multiplicity", 1)
         key = frozenset((u, v))
         if key in merged:
             a, b, prev = merged[key]

@@ -122,12 +122,15 @@ def build_morphism(
             f"edge_map does not cover source edges {[source.edge_list[e] for e in missing]}"
         )
 
+    sindex, tindex = source.index, target.index
     for e, (u, v) in enumerate(source.edge_list):
         tu, tv = target.edge_list[emap[e]]
-        images = {target.vertices[vmap[source.index[u]]], target.vertices[vmap[source.index[v]]]}
-        if images != {tu, tv}:
+        a, b = vmap[sindex[u]], vmap[sindex[v]]
+        ta, tb = tindex[tu], tindex[tv]
+        if not (a == ta and b == tb or a == tb and b == ta):
+            images = sorted({target.vertices[a], target.vertices[b]})
             raise EndpointMismatchError(
-                f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {sorted(images)}"
+                f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {images}"
             )
 
     degrees = [1] * len(source.vertices)

@@ -149,6 +149,58 @@ def definitional_rank(graph: Multigraph, d: Divisor, top=None) -> int:
     return r
 
 
+def reduce_round_by_round(
+    graph: Multigraph, coeffs: list[int], q: int, until_effective: bool = False
+) -> list[int]:
+    """q-reduction with one Dhar burn per firing round, the reference for
+    the threshold burns of ``_reduce_coeffs``: the same phase 1 (firing
+    distance sublevel sets, outermost layer first), then, until every
+    vertex burns, a burn from q and one firing of the unburnt set, as
+    often as its members stay non-negative.  Mutates and returns
+    ``coeffs``; with ``until_effective`` it stops once ``coeffs[q] >= 0``.
+    Its rounds grow with the size of the coefficients, so keep them
+    moderate on anything but small graphs."""
+    n = len(graph.vertices)
+    adjacency = graph.adjacency
+    dist = graph.bfs_distances(q)
+    for layer in range(max(dist), 0, -1):
+        members = [v for v in range(n) if dist[v] == layer]
+        rounds = 0
+        for v in members:
+            if coeffs[v] < 0:
+                gain = sum(m for w, m in adjacency[v] if dist[w] < layer)
+                rounds = max(rounds, -(coeffs[v] // gain))
+        for v in members:
+            for w, m in adjacency[v]:
+                if dist[w] < layer:
+                    coeffs[v] += rounds * m
+                    coeffs[w] -= rounds * m
+    while not (until_effective and coeffs[q] >= 0):
+        burnt = [False] * n
+        burnt[q] = True
+        heat = [0] * n
+        queue = [q]
+        while queue:
+            v = queue.pop()
+            for w, m in adjacency[v]:
+                if not burnt[w]:
+                    heat[w] += m
+                    if heat[w] > coeffs[w]:
+                        burnt[w] = True
+                        queue.append(w)
+        unburnt = [v for v in range(n) if not burnt[v]]
+        if not unburnt:
+            break
+        outdeg = {v: sum(m for w, m in adjacency[v] if burnt[w]) for v in unburnt}
+        rounds = min(coeffs[v] // outdeg[v] for v in unburnt if outdeg[v])
+        for v in unburnt:
+            coeffs[v] -= rounds * outdeg[v]
+            for w, m in adjacency[v]:
+                if burnt[w]:
+                    coeffs[w] += rounds * m
+    return coeffs
+
+
 def is_reduced_by_subsets(graph: Multigraph, coeffs, qi: int) -> bool:
     """Direct definition of q-reduced: non-negative off q and no nonempty
     subset avoiding q can fire without going negative."""

@@ -13,8 +13,10 @@ from divgraph.batch import batch_run, expand_units, load_recorded_keys, run_unit
 from divgraph.brill_noether import SearchLimits, find_gdr
 from divgraph.cli import main
 from divgraph.errors import InvalidInputError, PreconditionViolatedError
-from divgraph.families import theta
+from divgraph.families import from_spec, theta
 from divgraph.io import search_result_to_doc
+
+from conftest import assert_treewidth_floor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RESULT_FIELDS = ("found", "k", "witness", "classes_examined", "exhausted", "limit_hit")
@@ -28,6 +30,16 @@ BASE_CONFIG = {
 
 def read_records(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+
+
+def assert_found_records_clear_treewidth(records):
+    """Each found record's witness has the record's degree d, and d - r + 1
+    is at least tw(G^(k)); no rank check enters the floor."""
+    found = [rec for rec in records if rec["found"]]
+    assert found
+    for rec in found:
+        assert sum(rec["witness"].values()) == rec["d"]
+        assert_treewidth_floor(from_spec(rec["graph"]), rec["k"], rec["d"], rec["r"])
 
 
 class TestExpandUnits:
@@ -79,6 +91,7 @@ class TestBatchRun:
         records = read_records(out)
         assert summary["errors"] == summary["not_found"] == 0
         assert all(rec["found"] and rec["k"] == 0 for rec in records)
+        assert_found_records_clear_treewidth(records)
 
     def test_records_deterministic_up_to_timing(self, tmp_path):
         config = dict(BASE_CONFIG, graphs=BASE_CONFIG["graphs"] + ["random(5,8,7)"])
@@ -90,6 +103,7 @@ class TestBatchRun:
             return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in recs]
 
         assert strip(read_records(out1)) == strip(read_records(out2))
+        assert_found_records_clear_treewidth(read_records(out1))
 
     def test_resume_after_partial_file(self, tmp_path):
         out = tmp_path / "runs.jsonl"

@@ -315,6 +315,59 @@ class TestHarmonicCommands:
         assert report["target"]["vertices"] == ["v0", "v1"]
 
 
+class TestMalformedEdgeReferences:
+    """An edge reference is looked up in one step when it names an edge;
+    every malformed one keeps its error, exit code and message."""
+
+    DOC = json.loads((FIXTURES / "c4_double_cover.morphism").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "entry,error,message",
+        [
+            # cycle(4) has one edge v0-v1, banana(1) two
+            (
+                [["v0", "v1", 1], ["v0", "v1", 0]],
+                "invalid-input",
+                "edge (v0,v1) has multiplicity 1, no copy 1",
+            ),
+            (
+                [["v1", "v0", -1], ["v0", "v1", 0]],
+                "invalid-input",
+                "edge (v1,v0) has multiplicity 1, no copy -1",
+            ),
+            (
+                [["v0", "v1", True], ["v0", "v1", 0]],
+                "invalid-input",
+                "edge copy index must be an integer, got True",
+            ),
+            (
+                [["v0", "v2"], ["v0", "v1", 0]],
+                "unknown-vertex",
+                "no edge between 'v0' and 'v2'",
+            ),
+            (
+                [["v0", "v1"], ["v1", "v0", 2]],
+                "invalid-input",
+                "edge (v1,v0) has multiplicity 2, no copy 2",
+            ),
+            (
+                [["v0", "v9"], ["v0", "v1", 0]],
+                "unknown-vertex",
+                "unknown edge endpoint 'v9'",
+            ),
+        ],
+        ids=["copy-past-multiplicity", "negative-copy", "boolean-copy", "no-edge",
+             "target-copy", "unknown-endpoint"],
+    )
+    def test_error_is_kept(self, capsys, tmp_path, entry, error, message):
+        path = tmp_path / "f.morphism"
+        doc = {**self.DOC, "edge_map": [entry] + self.DOC["edge_map"][1:]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report = run_json(capsys, "rh-check", "--morphism", str(path))
+        assert code == 2
+        assert (report["error"], report["message"]) == (error, message)
+
+
 class TestVertexNamesAreStrings:
     """A vertex name or graph reference given as a JSON number is invalid
     input, even where its decimal string names a vertex or a file."""

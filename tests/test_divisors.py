@@ -3,6 +3,7 @@
 import enum
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,7 @@ from divgraph.brill_noether import _search_one_level
 from divgraph.divisors import _scan_rank
 from divgraph.harmonic import identity_morphism, pullback
 from divgraph.families import banana, cycle, random_multigraph, theta
+from divgraph.io import load_graph
 
 from conftest import (
     CORPUS,
@@ -48,10 +50,13 @@ from conftest import (
     equivalent_oracle,
     is_principal_oracle,
     is_reduced_by_subsets,
+    reduce_round_by_round,
     screened_walk,
     shuffled,
     superstable_by_subsets,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestFireSet:
@@ -241,6 +246,108 @@ class TestReduce:
             f = {v: rng.randint(-2, 2) for v in graph.vertices}
             shifted = d + principal_divisor(graph, f)
             assert reduce(graph, shifted, q).divisor == base
+
+
+class TestThresholdReduction:
+    """Phase 2 of ``_reduce_coeffs`` fires the sets that threshold burns
+    find.  The q-reduced divisor is unique, so full reductions must equal
+    those of one Dhar burn per round, and the ``until_effective`` verdicts
+    must agree."""
+
+    def test_matches_round_by_round(self, monkeypatch):
+        # per round, whether _fire_often fired another set than the plain
+        # burn's unburnt set
+        moved = []
+        fire_often = divgraph.divisors._fire_often
+
+        def counted(adjacency, coeffs, burnt, heat, fire):
+            got = fire_often(adjacency, coeffs, burnt, heat, fire)
+            moved.append(got[0] != fire)
+            return got
+
+        monkeypatch.setattr(divgraph.divisors, "_fire_often", counted)
+        rng = random.Random(31)
+        checks = 0
+        for name, graph in CORPUS:
+            for k in range(5):
+                refined = refine(graph, k)[0]
+                n = len(refined.vertices)
+                # q at an anchor, and on a refinement at an inserted vertex,
+                # inside a chain
+                for q in sorted({0, n - 1}):
+                    for bound in (25, 10**6) if k == 0 else (25,):
+                        for _ in range(3):
+                            coeffs = [rng.randint(-bound, bound) for _ in range(n)]
+                            full = reduce_round_by_round(refined, list(coeffs), q)
+                            assert divgraph.divisors._reduce_coeffs(
+                                refined, list(coeffs), q
+                            ) == full, (name, k, q, coeffs)
+                            early = divgraph.divisors._reduce_coeffs(
+                                refined, list(coeffs), q, until_effective=True
+                            )
+                            reference = reduce_round_by_round(
+                                refined, list(coeffs), q, until_effective=True
+                            )
+                            assert (early[q] >= 0) is (reference[q] >= 0) is (full[q] >= 0)
+                            checks += 1
+        assert checks > 500
+        # the threshold burns fired sets of their own, not only the plain ones
+        assert sum(moved) > 1000
+
+    @pytest.mark.parametrize("name,graph", CORPUS)
+    def test_large_coefficients_on_refinements(self, name, graph):
+        # one burn per round would take minutes here: the result is checked
+        # as q-reduced and equivalent, which fixes it
+        rng = random.Random(37)
+        for k in range(1, 5):
+            refined = refine(graph, k)[0]
+            n = len(refined.vertices)
+            for q in (0, n - 1):
+                coeffs = [rng.randint(-(10**6), 10**6) for _ in range(n)]
+                full = divgraph.divisors._reduce_coeffs(refined, list(coeffs), q)
+                assert is_reduced(refined, Divisor(refined, tuple(full)), refined.vertices[q])
+                assert is_principal_oracle(refined, [a - b for a, b in zip(coeffs, full)])
+                early = divgraph.divisors._reduce_coeffs(
+                    refined, list(coeffs), q, until_effective=True
+                )
+                assert (early[q] >= 0) is (full[q] >= 0)
+
+    GRAPH = load_graph(FIXTURES / "random-5-8-1-k2.graph")[1]
+    ALTERNATE = [(-1) ** i for i in range(len(GRAPH.vertices))]
+
+    @pytest.mark.parametrize(
+        "coeffs,reduced",
+        [
+            (
+                [10**9 if v == "v4" else 0 for v in GRAPH.vertices],
+                {"v0": 999999998, "v3": 1, "v4": 1},
+            ),
+            ([10**4 * s for s in ALTERNATE], {"v0": 9997, "v1": 2, "v0:v4:0:1": 1}),
+            (
+                [10**6 * s for s in ALTERNATE],
+                {"v0": 999997, "v3": 1, "v3:v4:0:2": 1, "v3:v4:1:2": 1},
+            ),
+        ],
+        ids=["v4-1e9", "alternating-1e4", "alternating-1e6"],
+    )
+    def test_burns_grow_with_bit_length(self, monkeypatch, coeffs, reduced):
+        # one burn per round takes 17,164 burns at 1e4, and more than 12 s
+        # at 1e6 and at 1e9; the count stops the reduction as soon as it
+        # passes the bound
+        graph = self.GRAPH
+        bound = len(graph.vertices) * max(abs(c) for c in coeffs).bit_length()
+        burns = 0
+        burn_on = divgraph.divisors._burn_on
+
+        def counted(*args):
+            nonlocal burns
+            burns += 1
+            assert burns <= bound, "more burns than n times the bit length"
+            return burn_on(*args)
+
+        monkeypatch.setattr(divgraph.divisors, "_burn_on", counted)
+        got = reduce(graph, Divisor(graph, tuple(coeffs)), "v0").divisor
+        assert got.to_map() == reduced
 
 
 class TestEquivalence:
@@ -1031,7 +1138,8 @@ class TestTrialOrder:
 
     @pytest.mark.parametrize("name,graph", GRAPHS)
     def test_trials_run_farthest_first(self, monkeypatch, name, graph):
-        # a class of rank >= 1 passes every trial, so all of A is tried
+        # a class of rank >= 1 passes every trial, so all of A is tried but
+        # q, whose trial the test of D(q) >= 1 has passed
         q = graph.vertices[0]
         tried = []
         effective = divgraph.divisors._effective_rep_raw
@@ -1048,7 +1156,7 @@ class TestTrialOrder:
         monkeypatch.setattr(divgraph.divisors, "_effective_rep_raw", recorder)
         assert rank_at_least(graph, Divisor(graph, base), 1)
         dist = graph.bfs_distances(0)
-        assert sorted(tried) == list(graph.chain_decomposition(0).rank_set)
+        assert sorted(tried) == list(graph.chain_decomposition(0).rank_set)[1:]
         assert [(-dist[v], v) for v in tried] == sorted((-dist[v], v) for v in tried)
         assert tried != sorted(tried)
 

@@ -1,6 +1,7 @@
 """Harmonic morphisms: validity, Riemann-Hurwitz, pullback, contraction."""
 
 import random
+import re
 
 import pytest
 
@@ -98,7 +99,8 @@ class TestCheckHarmonic:
     def test_endpoint_mismatch_rejected(self):
         source = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         target = build_graph(["x", "y"], [("x", "y")])
-        with pytest.raises(EndpointMismatchError):
+        message = "edge (a,b) maps to (x,y) but its endpoints map to ['x']"
+        with pytest.raises(EndpointMismatchError, match=re.escape(message)):
             build_morphism(
                 source,
                 target,
