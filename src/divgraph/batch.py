@@ -1,17 +1,21 @@
 """Resumable batch runs of the existence search over graph families.
 
 A batch config names built-in family graphs and a (d, r) grid; each unit of
-work is one (graph, d, r) search.  Results append to a JSON-lines file, one
-record per unit, keyed so that re-running an identical config skips all
-completed work.  Units can run in parallel; records are still written in
-config order, so the output file is deterministic apart from the elapsed
-time field.
+work is one (graph, d, r) search, identified by its record key.  A unit that
+the config lists twice is one unit and gets one record.  Results append to
+a JSON-lines file, one record per unit, so that re-running an identical
+config skips all completed work.  Units run in a process pool when more
+than one worker would be busy, in this process otherwise; records are
+written in config order either way, so the output file is deterministic
+apart from the elapsed time field.  The output file is opened before any
+unit runs.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Union
 
@@ -20,7 +24,11 @@ from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
 from .divisors import rank
 from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int, check_type
 from .graphs import Multigraph, genus
-from .io import dump_json, parse_json, resolve_graph, search_result_to_doc
+from .io import dump_json, parse_json, read_text, resolve_graph, search_result_to_doc
+
+
+# a unit of work: (graph reference, graph, d, r, limits)
+Unit = tuple[str, Multigraph, int, int, SearchLimits]
 
 
 def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
@@ -30,11 +38,12 @@ def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
     )
 
 
-def expand_units(config: dict, base_dir=None) -> list[tuple[str, Multigraph, int, int]]:
-    """Resolve the config into concrete (ref, graph, d, r) units, keeping
-    only instances with rho >= 0 and preserving config order.  A malformed
-    config, such as a count that is not a non-negative JSON integer, raises
-    :class:`InvalidInputError`."""
+def expand_units(config: dict, base_dir=None) -> dict[str, Unit]:
+    """Resolve the config into concrete (ref, graph, d, r, limits) units,
+    keyed by their record key, keeping only instances with rho >= 0.  The
+    map is in config order; a unit listed twice keeps its first occurrence.
+    A malformed config, such as a count that is not a non-negative JSON
+    integer, raises :class:`InvalidInputError`."""
     graphs = config.get("graphs") if isinstance(config, dict) else None
     if not isinstance(graphs, (list, tuple)):
         raise InvalidInputError("batch config must be an object with a 'graphs' list")
@@ -53,23 +62,28 @@ def expand_units(config: dict, base_dir=None) -> list[tuple[str, Multigraph, int
         d_max = check_int(params.get("d_max", 4), "batch config d_max", 0)
         r_max = check_int(params.get("r_max", 2), "batch config r_max", 0)
         pairs = [(d, r) for r in range(r_max + 1) for d in range(d_max + 1)]
-    units = []
+    limits_cfg = check_type(config.get("limits", {}), "object", "batch config 'limits'")
+    limits = SearchLimits(
+        max_k=limits_cfg.get("max_k"),
+        max_classes=limits_cfg.get("max_classes"),
+    )
+    units: dict[str, Unit] = {}
     for ref in graphs:
         _, graph = resolve_graph(check_type(ref, "string", "batch config graph"), base_dir)
         g = genus(graph)
         for d, r in pairs:
             if rho(g, d, r) >= 0:
-                units.append((ref, graph, d, r))
+                units.setdefault(unit_key(ref, d, r, limits), (ref, graph, d, r, limits))
     return units
 
 
-def run_unit(args: tuple[str, Multigraph, int, int, SearchLimits]) -> dict:
-    """Run one search unit and build its record.  Failures become error
-    records, never silent skips."""
-    ref, graph, d, r, limits = args
+def run_unit(item: tuple[str, Unit]) -> dict:
+    """Run one ``(key, unit)`` item of :func:`expand_units` and build its
+    record.  Failures become error records, never silent skips."""
+    key, (ref, graph, d, r, limits) = item
     g = genus(graph)
     record: dict = {
-        "key": unit_key(ref, d, r, limits),
+        "key": key,
         "graph": ref,
         "genus": g,
         "d": d,
@@ -108,13 +122,14 @@ def _encode_record(record: dict) -> tuple[str, dict]:
 
 
 def load_recorded_keys(out_path: Union[str, Path]) -> set[str]:
-    """The keys of the records in ``out_path``.  A line that is not a JSON
-    object with a string ``key`` raises :class:`InvalidInputError`; an
-    oversized integer literal raises :class:`IntegerTooLargeError`."""
-    path = Path(out_path)
+    """The keys of the records in ``out_path``.  A file that cannot be
+    read, or a line that is not a JSON object with a string ``key``, raises
+    :class:`InvalidInputError`; an oversized integer literal raises
+    :class:`IntegerTooLargeError`."""
     keys: set[str] = set()
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
+    # os.path.exists is False, not an OSError, for a name too long to stat
+    if os.path.exists(out_path):
+        for line in read_text(out_path).splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -138,23 +153,15 @@ def batch_run(
     """Run every unit of the config that has no record yet.
 
     Appends records to ``out_path`` in config order and returns a summary.
-    ``jobs`` > 1 runs units in a process pool; the file order is unchanged.
-    ``jobs`` below 1 raises :class:`InvalidInputError` before any unit runs.
+    Units run in a process pool of ``min(jobs, units left, CPUs)`` workers
+    when that is more than one, in this process otherwise; the file order
+    is the same.  ``jobs`` below 1, or an ``out_path`` that cannot be
+    written, raises :class:`InvalidInputError` before any unit runs.
     """
     check_int(jobs, "jobs", 1)
     units = expand_units(config, base_dir)
-    limits_cfg = check_type(config.get("limits", {}), "object", "batch config 'limits'")
-    limits = SearchLimits(
-        max_k=limits_cfg.get("max_k"),
-        max_classes=limits_cfg.get("max_classes"),
-    )
     done = load_recorded_keys(out_path)
-    todo = [
-        (ref, graph, d, r)
-        for ref, graph, d, r in units
-        if unit_key(ref, d, r, limits) not in done
-    ]
-
+    todo = [item for item in units.items() if item[0] not in done]
     summary = {
         "total_units": len(units),
         "skipped": len(units) - len(todo),
@@ -167,29 +174,27 @@ def batch_run(
         return summary
 
     path = Path(out_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    work = [(ref, graph, d, r, limits) for ref, graph, d, r in todo]
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        sink = path.open("a", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out_path}: {exc}")
+    workers = min(jobs, len(todo), os.cpu_count() or 1)
+    with sink, ExitStack() as stack:
+        run_all = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    def write_all(records) -> None:
-        with path.open("a", encoding="utf-8") as sink:
-            for record in records:
-                line, record = _encode_record(record)
-                sink.write(line + "\n")
-                sink.flush()
-                if "error" in record:
-                    summary["errors"] += 1
-                elif record["found"]:
-                    summary["found"] += 1
-                else:
-                    summary["not_found"] += 1
-
-    if jobs <= 1:
-        write_all(map(run_unit, work))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the fork start method starts every worker at the first submit
-        workers = min(jobs, len(work), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            write_all(pool.map(run_unit, work))
+            # the fork start method starts every worker at the first submit
+            run_all = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for record in run_all(run_unit, todo):
+            line, record = _encode_record(record)
+            sink.write(line + "\n")
+            sink.flush()
+            if "error" in record:
+                summary["errors"] += 1
+            elif record["found"]:
+                summary["found"] += 1
+            else:
+                summary["not_found"] += 1
     return summary

@@ -12,11 +12,15 @@ or a string: graph file path or family spec), ``vertex_map`` (object),
 [u, v, copy]), optional ``local_degree`` (object, default 1 per vertex)
 and optional ``marked_legs`` (object; branch/ramification marks echoed in
 reports).  Every vertex name is a string.
+
+Every file is read as UTF-8; one that cannot be read, or is not UTF-8, is
+invalid input.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Union
 
@@ -54,15 +58,20 @@ def dump_json(doc, **options) -> str:
         raise IntegerTooLargeError(str(exc)) from exc
 
 
-def load_json(path: Union[str, Path]):
-    """Read a JSON document; an unreadable file or invalid JSON raises
-    :class:`InvalidInputError`, an oversized integer
-    :class:`IntegerTooLargeError`."""
+def read_text(path: Union[str, Path]) -> str:
+    """The text of a UTF-8 file.  A file that cannot be read, or whose
+    bytes are not UTF-8, raises :class:`InvalidInputError`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}")
-    return parse_json(text, path)
+
+
+def load_json(path: Union[str, Path]):
+    """Read a JSON document; an unreadable or non-UTF-8 file, or invalid
+    JSON, raises :class:`InvalidInputError`, an oversized integer
+    :class:`IntegerTooLargeError`."""
+    return parse_json(read_text(path), path)
 
 
 def graph_from_doc(doc: dict) -> tuple[str, Multigraph]:
@@ -90,11 +99,12 @@ def resolve_graph(ref: str, base_dir: Union[str, Path, None] = None) -> tuple[st
     """Resolve a graph reference: an existing file path wins, then a family
     spec such as ``banana(3)``."""
     candidate = Path(ref)
+    # os.path.exists is False, not an OSError, for a name too long to stat
     if base_dir is not None and not candidate.is_absolute():
         based = Path(base_dir) / candidate
-        if based.exists():
+        if os.path.exists(based):
             candidate = based
-    if candidate.exists():
+    if os.path.exists(candidate):
         return load_graph(candidate)
     if families.is_family_spec(ref):
         return ref, families.from_spec(ref)

@@ -28,6 +28,30 @@ BASE_CONFIG = {
 }
 
 
+def fake_pool(monkeypatch, cpus):
+    """Report ``cpus`` CPUs and put a pool that starts no process, and maps
+    in this one, in place of ``ProcessPoolExecutor``.  Returns the list of
+    the ``max_workers`` of every pool built."""
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started
+
+
 def read_records(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
@@ -45,16 +69,32 @@ def assert_found_records_clear_treewidth(records):
 class TestExpandUnits:
     def test_rho_filter(self):
         units = expand_units(BASE_CONFIG)
-        assert all((r + 1) * (d - r) >= 0 for _, _, d, r in units)
+        assert all((r + 1) * (d - r) >= 0 for _, _, d, r, _ in units.values())
         # banana(2) has genus 2: (d=2, r=1) has rho = 0 and stays,
         # (d=1, r=1) has rho = -2 and is dropped
-        keys = {(ref, d, r) for ref, _, d, r in units}
+        keys = {(ref, d, r) for ref, _, d, r, _ in units.values()}
         assert ("banana(2)", 2, 1) in keys
         assert ("banana(2)", 1, 1) not in keys
 
     def test_explicit_pairs(self):
         units = expand_units({"graphs": ["cycle(3)"], "params": {"pairs": [[2, 1], [0, 0]]}})
-        assert [(d, r) for _, _, d, r in units] == [(2, 1), (0, 0)]
+        assert [(d, r) for _, _, d, r, _ in units.values()] == [(2, 1), (0, 0)]
+
+    def test_units_keyed_by_record_key(self):
+        limits = SearchLimits(max_classes=100000)
+        units = expand_units(BASE_CONFIG)
+        assert list(units) == [unit_key(ref, d, r, limits) for ref, _, d, r, _ in units.values()]
+        assert all(unit[4] == limits for unit in units.values())
+
+    def test_repeated_unit_kept_once_in_config_order(self):
+        config = {
+            "graphs": ["banana(1)", "cycle(3)", "banana(1)"],
+            "params": {"pairs": [[2, 1], [0, 0], [2, 1]]},
+        }
+        units = expand_units(config)
+        assert [(ref, d, r) for ref, _, d, r, _ in units.values()] == [
+            ("banana(1)", 2, 1), ("banana(1)", 0, 0), ("cycle(3)", 2, 1), ("cycle(3)", 0, 0),
+        ]
 
     def test_missing_graphs_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -116,6 +156,30 @@ class TestBatchRun:
         assert summary["new_units"] == len(full) - 3
         resumed = read_records(out)
         assert {r["key"] for r in resumed} == {r["key"] for r in full}
+
+    def test_repeated_units_run_once(self, tmp_path):
+        # banana(1) twice and (2, 1) twice: one unit, one record
+        config = {"graphs": ["banana(1)", "banana(1)"], "params": {"pairs": [[2, 1], [2, 1]]}}
+        out = tmp_path / "runs.jsonl"
+        summary = batch_run(config, out)
+        assert (summary["total_units"], summary["new_units"], summary["found"]) == (1, 1, 1)
+        (record,) = read_records(out)
+        assert record["key"] == unit_key("banana(1)", 2, 1, SearchLimits())
+        before = out.read_bytes()
+        rerun = batch_run(config, out)
+        assert (rerun["total_units"], rerun["skipped"], rerun["new_units"]) == (1, 1, 0)
+        assert out.read_bytes() == before
+
+    def test_repeated_graph_one_record_per_key(self, tmp_path):
+        config = dict(BASE_CONFIG, graphs=BASE_CONFIG["graphs"] * 2)
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        expected = batch_run(BASE_CONFIG, once)
+        summary = batch_run(config, twice, jobs=2)
+        assert summary == expected
+        keys = [record["key"] for record in read_records(twice)]
+        assert keys == [record["key"] for record in read_records(once)]
+        assert len(set(keys)) == len(keys) == summary["total_units"]
+        assert batch_run(config, twice)["skipped"] == summary["total_units"]
 
     def test_limit_truncation_recorded_not_skipped(self, tmp_path):
         config = {
@@ -179,9 +243,11 @@ class TestBatchRun:
             raise PreconditionViolatedError("refused")
 
         monkeypatch.setattr(divgraph.batch, "find_gdr", refuse)
-        record = run_unit(("theta(2,2,2)", theta(2, 2, 2), 3, 1, SearchLimits()))
+        key = unit_key("theta(2,2,2)", 3, 1, SearchLimits())
+        record = run_unit((key, ("theta(2,2,2)", theta(2, 2, 2), 3, 1, SearchLimits())))
         assert (record["error"], record["message"]) == ("precondition-violated", "refused")
         assert "found" not in record and record["theorem_bound"] == 2
+        assert record["key"] == key
 
     def test_corrupt_record_rejected(self, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -197,7 +263,8 @@ class TestWitnessCheck:
     def test_verified_comes_from_rank(self, monkeypatch):
         # rank 0, one below the r = 1 asked for: the witness must fail
         monkeypatch.setattr(divgraph.batch, "rank", lambda graph, divisor: 0)
-        record = run_unit(("theta(2,2,2)", theta(2, 2, 2), 3, 1, SearchLimits()))
+        key = unit_key("theta(2,2,2)", 3, 1, SearchLimits())
+        record = run_unit((key, ("theta(2,2,2)", theta(2, 2, 2), 3, 1, SearchLimits())))
         assert record["found"] is True
         assert record["verified"] is False
 
@@ -206,8 +273,11 @@ class TestWitnessCheck:
         limits = SearchLimits(**config["limits"])
         units = expand_units(config)
         assert len(units) == 28
-        for ref, graph, d, r in units:
-            record = run_unit((ref, graph, d, r, limits))
+        for key, unit in units.items():
+            ref, graph, d, r, unit_limits = unit
+            assert unit_limits == limits
+            record = run_unit((key, unit))
+            assert record["key"] == key == unit_key(ref, d, r, limits)
             code = main([
                 "search", "--graph", ref, "--d", str(d), "--r", str(r),
                 "--max-classes", str(limits.max_classes),
@@ -270,34 +340,63 @@ class TestBatchCli:
     )
     def test_pool_capped_at_units_and_cores(self, monkeypatch, tmp_path, jobs, cpus, workers):
         # the fork start method starts every worker at the first submit, so
-        # the pool must not be larger than the work; the fake pool starts no
-        # process and maps in this one
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # the pool must not be larger than the work; one worker runs in this
+        # process and builds no pool
+        started = fake_pool(monkeypatch, cpus)
         out = tmp_path / "runs.jsonl"
         argv = ["batch", "--config", str(FIXTURES / "batch_small.json"), "--out", str(out)]
         assert main(argv + ["--jobs", jobs]) == 0
-        assert started == [workers]
+        pools = [workers] if workers > 1 else []
+        assert started == pools
         records = read_records(out)
         assert len(records) == 28 and all(r["verified"] is True for r in records)
         # a resume with nothing to do builds no pool
         assert main(argv + ["--jobs", jobs]) == 0
-        assert started == [workers]
+        assert started == pools
+
+    def test_one_unit_left_runs_in_process(self, monkeypatch, capsys, tmp_path):
+        started = fake_pool(monkeypatch, 4)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"graphs": ["banana(1)"], "params": {"pairs": [[2, 1]]}}), encoding="utf-8"
+        )
+        out = tmp_path / "runs.jsonl"
+        assert main(["batch", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["new_units"] == 1
+        assert started == []
+        (record,) = read_records(out)
+        assert record["verified"] is True
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("target", ["directory", "under-a-file", "name-too-long"])
+    def test_unwritable_out_is_invalid_input(self, monkeypatch, capsys, tmp_path, target, jobs):
+        # rejected before any unit runs: no pool is built and no search starts
+        started = fake_pool(monkeypatch, 4)
+
+        def no_search(*args):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(divgraph.batch, "find_gdr", no_search)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG), encoding="utf-8")
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        out = {
+            "directory": tmp_path / "runs",
+            "under-a-file": tmp_path / "file" / "runs.jsonl",
+            "name-too-long": tmp_path / ("r" * 300),
+        }[target]
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["batch", "--config", str(config), "--out", str(out), "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "invalid-input"
+        assert str(out) in report["message"]
+        assert captured.err == ""
+        assert started == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_must_be_at_least_one(self, capsys, tmp_path, jobs):

@@ -850,3 +850,80 @@ class TestDeepNesting:
         assert captured.err == ""
         assert path.read_text(encoding="utf-8") == text
         assert not out.exists()
+
+
+class TestNonUtf8Input:
+    """A file whose bytes are not UTF-8 is invalid input, wherever it is
+    read; the message names the file."""
+
+    GRAPH = b'{"name": "g\xff", "vertices": ["a", "b"], "edges": [["a", "b", 2]]}'
+    MORPHISM = (FIXTURES / "path_onto_edge.morphism").read_bytes().replace(b"P3", b"P3\xff")
+    INPUTS = {
+        "graph-file": (("genus", "--graph", "{bad}"), GRAPH),
+        "divisor-file": (("rank", "--graph", "cycle(3)", "--divisor", "{bad}"), b'{"v0": 1}\xff'),
+        "morphism-file": (("harmonic-check", "--morphism", "{bad}"), MORPHISM),
+        "morphism-source-graph-file": (("rh-check", "--morphism", "{doc}"), GRAPH),
+        "contract-file": (("pushforward", "--graph", "banana(2)", "--divisor", "{div}",
+                           "--contract", "{bad}"), b'[["v0", "v1"]]\xff'),
+        "batch-config": (("batch", "--config", "{bad}", "--out", "{out}"),
+                         b'{"graphs": ["banana(1)\xff"]}'),
+        "batch-record": (("batch", "--config", str(FIXTURES / "batch_small.json"),
+                          "--out", "{bad}"), b'{"key": "a\xff"}\n'),
+    }
+
+    @pytest.mark.parametrize("argv,data", INPUTS.values(), ids=INPUTS.keys())
+    def test_non_utf8_file_is_invalid_input(self, capsys, tmp_path, argv, data):
+        bad, doc = tmp_path / "bad.json", tmp_path / "doc.json"
+        div, out = tmp_path / "d.div", tmp_path / "out.jsonl"
+        bad.write_bytes(data)
+        morphism = {
+            "source": str(bad),
+            "target": {"name": "E", "vertices": ["x", "y"], "edges": [["x", "y"]]},
+            "vertex_map": {"a": "x", "b": "y"},
+            "edge_map": [[["a", "b", 0], ["x", "y"]], [["a", "b", 1], ["x", "y"]]],
+        }
+        doc.write_text(json.dumps(morphism), encoding="utf-8")
+        div.write_text("{}", encoding="utf-8")
+        code = main([a.format(bad=bad, doc=doc, div=div, out=out) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "invalid-input"
+        assert report["message"].startswith(f"cannot read {bad}: ")
+        assert "can't decode byte 0xff" in report["message"]
+        assert captured.err == ""
+        assert bad.read_bytes() == data
+        assert not out.exists()
+
+    def test_console_script_reports_no_traceback(self, tmp_path):
+        bad = tmp_path / "bad.div"
+        bad.write_bytes(b'{"v0": 1}\xff')
+        script = "import sys; sys.path.insert(0, sys.argv[1]); from divgraph.cli import main; " \
+            "sys.exit(main(['rank', '--graph', 'cycle(3)', '--divisor', sys.argv[2]]))"
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", script, str(SRC), str(bad)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == "invalid-input"
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [("genus", "--graph", "{ref}"), ("batch", "--config", "{cfg}", "--out", "{out}")]
+)
+def test_overlong_graph_reference_is_invalid_input(capsys, tmp_path, argv):
+    # a reference too long to be a file name is neither a file nor a spec
+    ref = "x" * 300
+    cfg, out = tmp_path / "config.json", tmp_path / "runs.jsonl"
+    cfg.write_text(json.dumps({"graphs": [ref]}), encoding="utf-8")
+    code = main([a.format(ref=ref, cfg=cfg, out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["error"] == "invalid-input"
+    assert "neither a readable graph file nor a family spec" in report["message"]
+    assert captured.err == ""
+    assert not out.exists()
