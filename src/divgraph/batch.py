@@ -1,8 +1,9 @@
 """Resumable batch runs of the existence search over graph families.
 
 A batch config names built-in family graphs and a (d, r) grid; each unit of
-work is one (graph, d, r) search, identified by its record key.  A unit that
-the config lists twice is one unit and gets one record.  Results append to
+work is one (graph, d, r) search, identified by its record key, which
+spells a family spec canonically.  A unit that the config lists twice, in
+any spelling, is one unit and gets one record.  Results append to
 a JSON-lines file, one record per unit, so that re-running an identical
 config skips all completed work.  Units run in a process pool when more
 than one worker would be busy, in this process otherwise; records are
@@ -23,8 +24,9 @@ from . import __version__
 from .brill_noether import SearchLimits, bn_bound, find_gdr, rho
 from .divisors import rank
 from .errors import DivGraphError, IntegerTooLargeError, InvalidInputError, check_int, check_type
+from .families import canonical_spec
 from .graphs import Multigraph, genus
-from .io import dump_json, parse_json, read_text, resolve_graph, search_result_to_doc
+from .io import dump_json, graph_file, parse_json, read_text, resolve_graph, search_result_to_doc
 
 
 # a unit of work: (graph reference, graph, d, r, limits)
@@ -40,8 +42,11 @@ def unit_key(graph_ref: str, d: int, r: int, limits: SearchLimits) -> str:
 
 def expand_units(config: dict, base_dir=None) -> dict[str, Unit]:
     """Resolve the config into concrete (ref, graph, d, r, limits) units,
-    keyed by their record key, keeping only instances with rho >= 0.  The
-    map is in config order; a unit listed twice keeps its first occurrence.
+    keyed by their record key, keeping only instances with rho >= 0.  A
+    family spec is keyed by its canonical spelling (``banana( 01)`` as
+    ``banana(1)``), a graph file by its reference.  The map is in config
+    order; a unit listed twice, in any spelling, keeps its first
+    occurrence.
     A malformed config, such as a count that is not a non-negative JSON
     integer, raises :class:`InvalidInputError`."""
     graphs = config.get("graphs") if isinstance(config, dict) else None
@@ -70,10 +75,12 @@ def expand_units(config: dict, base_dir=None) -> dict[str, Unit]:
     units: dict[str, Unit] = {}
     for ref in graphs:
         _, graph = resolve_graph(check_type(ref, "string", "batch config graph"), base_dir)
+        # a file wins over a spec; a spec is keyed by its canonical spelling
+        key_ref = ref if graph_file(ref, base_dir) else canonical_spec(ref)
         g = genus(graph)
         for d, r in pairs:
             if rho(g, d, r) >= 0:
-                units.setdefault(unit_key(ref, d, r, limits), (ref, graph, d, r, limits))
+                units.setdefault(unit_key(key_ref, d, r, limits), (ref, graph, d, r, limits))
     return units
 
 

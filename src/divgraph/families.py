@@ -98,12 +98,12 @@ def is_family_spec(spec: str) -> bool:
     return bool(match) and match.group(1) in _BUILDERS
 
 
-def from_spec(spec: str) -> Multigraph:
-    """Build a graph from a family spec string such as ``theta(2,2,2)``."""
+def _parse_spec(spec: str) -> tuple[str, list[int]]:
+    """The family name and integer arguments of a spec string."""
     match = _FAMILY_RE.match(spec)
     if not match or match.group(1) not in _BUILDERS:
         raise InvalidInputError(f"unknown graph family spec {spec!r}")
-    builder, arity = _BUILDERS[match.group(1)]
+    _, arity = _BUILDERS[match.group(1)]
     raw = [p.strip() for p in match.group(2).split(",") if p.strip()]
     if len(raw) != arity:
         raise InvalidInputError(f"family {match.group(1)!r} takes {arity} argument(s)")
@@ -111,4 +111,19 @@ def from_spec(spec: str) -> Multigraph:
         args = [int(p) for p in raw]
     except ValueError:
         raise InvalidInputError(f"non-integer argument in family spec {spec!r}")
-    return builder(*args)
+    return match.group(1), args
+
+
+def from_spec(spec: str) -> Multigraph:
+    """Build a graph from a family spec string such as ``theta(2,2,2)``."""
+    name, args = _parse_spec(spec)
+    return _BUILDERS[name][0](*args)
+
+
+def canonical_spec(spec: str) -> str:
+    """The one spelling ``name(int,...)`` of a family spec: no spaces, no
+    leading zeros, and ``chain-of-loops`` spelled ``chain``, so
+    ``banana( 01)`` gives ``banana(1)``."""
+    name, args = _parse_spec(spec)
+    name = "chain" if name == "chain-of-loops" else name
+    return f"{name}({','.join(map(str, args))})"

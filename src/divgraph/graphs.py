@@ -103,20 +103,18 @@ class Multigraph:
         """Edges expanded to one entry per parallel copy, in storage order."""
         out: list[tuple[str, str]] = []
         for u, v, m in self.edges:
-            out.extend((u, v) for _ in range(m))
+            out += [(u, v)] * m
         return tuple(out)
 
     @cached_property
     def _edge_records(self) -> dict[tuple[str, str], tuple[int, int]]:
         """Per stored edge record ``(u, v)``, the position of its first
-        parallel copy in :attr:`edge_list` and its multiplicity.  The keys
-        are the pairs of :attr:`edge_list` in their stored orientation, so
-        the index allocates no key objects of its own."""
-        pairs = self.edge_list
+        parallel copy in :attr:`edge_list` and its multiplicity.  It is
+        built from :attr:`edges`, so a lookup does not expand the edges."""
         records = {}
         pos = 0
-        for _, _, m in self.edges:
-            records[pairs[pos]] = (pos, m)
+        for u, v, m in self.edges:
+            records[u, v] = (pos, m)
             pos += m
         return records
 
@@ -263,43 +261,69 @@ def build_graph(vertices: Iterable[str], edges: Iterable[EdgeSpec]) -> Multigrap
     """Validate and construct a :class:`Multigraph`.
 
     ``edges`` entries are ``(u, v)`` or ``(u, v, multiplicity)``.  Parallel
-    records for the same pair are merged by summing multiplicities.
+    records for the same pair are merged by summing multiplicities; the
+    merged record keeps the first record's orientation and place.
+
+    Each endpoint takes one lookup in the name -> index dict built from
+    ``vertices``, and records merge on their sorted index pair.  Only a
+    lookup that misses (a name that is not an exact ``str``, or not a
+    vertex) goes through the type check and the membership test, so every
+    error is the one those raise.  The graph is handed the ``index`` and
+    ``adjacency`` computed here.
 
     Raises :class:`EmptyVertexSetError`, :class:`UnknownVertexError`,
     :class:`LoopEdgeError`, :class:`DisconnectedError` or
     :class:`InvalidInputError` (a vertex name or endpoint that is not a
     string, bad multiplicity, duplicate vertex names).
     """
-    verts = tuple(check_type(v, "string", "vertex name") for v in vertices)
+    verts = tuple(vertices)
+    for v in verts:
+        if type(v) is not str:
+            check_type(v, "string", "vertex name")
     if not verts:
         raise EmptyVertexSetError("a graph needs at least one vertex")
-    if len(set(verts)) != len(verts):
+    index = dict(zip(verts, range(len(verts))))
+    if len(index) != len(verts):
         raise InvalidInputError("duplicate vertex names")
-    known = set(verts)
 
-    merged: dict[frozenset[str], tuple[str, str, int]] = {}
+    get = index.get
+    merged: dict[tuple[int, int], tuple[str, str, int]] = {}
     for spec in edges:
-        if not isinstance(spec, (list, tuple)) or len(spec) not in (2, 3):
+        size = len(spec) if isinstance(spec, (list, tuple)) else 0
+        if size == 2:
+            (u, v), m = spec, 1
+        elif size == 3:
+            u, v, m = spec
+        else:
             raise InvalidInputError(f"edge spec {spec!r} is not (u, v[, mult])")
-        u, v, m = spec if len(spec) == 3 else (*spec, 1)
-        check_type(u, "string", "edge endpoint")
-        check_type(v, "string", "edge endpoint")
-        if u not in known:
-            raise UnknownVertexError(f"edge endpoint {u!r} is not a declared vertex")
-        if v not in known:
-            raise UnknownVertexError(f"edge endpoint {v!r} is not a declared vertex")
-        if u == v:
+        i = get(u) if type(u) is str else None
+        j = get(v) if type(v) is str else None
+        if i is None or j is None:
+            check_type(u, "string", "edge endpoint")
+            check_type(v, "string", "edge endpoint")
+            if u not in index:
+                raise UnknownVertexError(f"edge endpoint {u!r} is not a declared vertex")
+            if v not in index:
+                raise UnknownVertexError(f"edge endpoint {v!r} is not a declared vertex")
+            i, j = index[u], index[v]
+        if i == j:
             raise LoopEdgeError(f"loop edge at {u!r}")
         if type(m) is not int or m < 1:
             check_int(m, f"edge ({u},{v}) multiplicity", 1)
-        key = frozenset((u, v))
+        key = (i, j) if i < j else (j, i)
         if key in merged:
             a, b, prev = merged[key]
             merged[key] = (a, b, prev + m)
         else:
             merged[key] = (u, v, m)
 
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in verts]
+    for (i, j), (_, _, m) in merged.items():
+        adjacency[i].append((j, m))
+        adjacency[j].append((i, m))
     graph = Multigraph(verts, tuple(merged.values()))
+    # the cached properties, as Multigraph would compute them from the names
+    vars(graph).update(index=index, adjacency=tuple(map(tuple, adjacency)))
     if len(verts) > 1:
         dist = graph.bfs_distances(0)
         if any(d < 0 for d in dist):

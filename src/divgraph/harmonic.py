@@ -86,52 +86,78 @@ def build_morphism(
     an edge reference is (u, v) or (u, v, copy) with copy defaulting to 0.
     ``local_degree`` defaults to 1 wherever omitted; ``marked_legs``
     defaults to 0.  Only None takes the default; any other value that is
-    not an object raises, falsy or not.  Every vertex name, in the maps and
-    in the edge references, goes through :meth:`Multigraph.vertex_index`.
-    Structural failures (unmapped or repeated edges, endpoints that do not
-    track the vertex map) raise; harmonicity itself is judged by
-    :func:`check_harmonic`.
+    not an object raises, falsy or not.
+
+    Each ``vertex_map`` name takes one lookup in the graph's ``index``, and
+    each two-element edge reference of exact strings one lookup of its
+    edge record (two when it names the edge against the stored
+    orientation); endpoints are then compared as vertex indices.  A lookup
+    that misses (a name that is not an exact ``str`` or not a vertex, a
+    three-element reference, an absent edge) goes through
+    :meth:`Multigraph.vertex_index` and :meth:`Multigraph.edge_index`,
+    which raise the errors.  Structural failures (unmapped or repeated
+    edges, endpoints that do not track the vertex map) raise, in that
+    order, and a mismatch names the first such edge of ``edge_list``;
+    harmonicity itself is judged by :func:`check_harmonic`.
     """
+    sget, tget = source.index.get, target.index.get
     vmap = [-1] * len(source.vertices)
     for v, w in check_type(vertex_map, "object", "vertex_map").items():
-        vmap[source.vertex_index(v, "vertex_map key")] = target.vertex_index(
-            w, "vertex_map image"
-        )
+        # the image is checked before the key
+        j = tget(w) if type(w) is str else None
+        if j is None:
+            j = target.vertex_index(w, "vertex_map image")
+        i = sget(v) if type(v) is str else None
+        if i is None:
+            i = source.vertex_index(v, "vertex_map key")
+        vmap[i] = j
     if -1 in vmap:
         v = source.vertices[vmap.index(-1)]
         raise UnknownVertexError(f"vertex_map does not cover source vertex {v!r}")
 
     def edge_ref(graph: Multigraph, ref: Sequence) -> int:
+        if isinstance(ref, (list, tuple)) and len(ref) == 2:
+            u, v = ref
+            if type(u) is str and type(v) is str:
+                records = graph._edge_records
+                record = records.get((u, v)) or records.get((v, u))
+                if record is not None:
+                    return record[0]
         if not isinstance(ref, (list, tuple)) or len(ref) not in (2, 3):
             raise InvalidInputError(f"edge reference {ref!r} is not (u, v[, copy])")
         u, v, copy = ref if len(ref) == 3 else (*ref, 0)
         return graph.edge_index(u, v, check_int(copy, "edge copy index"))
 
-    emap: dict[int, int] = {}
+    # once resolved, a reference's first two entries are its edge's endpoints
+    sindex, tindex = source.index, target.index
+    emap = [-1] * source.num_edges
+    tracked = True
     for entry in check_type(edge_map, "array", "edge_map"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InvalidInputError(f"edge_map entry {entry!r} is not [source_edge, target_edge]")
         src_ref, tgt_ref = entry
         e = edge_ref(source, src_ref)
-        if e in emap:
+        if emap[e] >= 0:
             raise InvalidInputError(f"source edge {src_ref!r} mapped twice")
         emap[e] = edge_ref(target, tgt_ref)
-    missing = [e for e in range(len(source.edge_list)) if e not in emap]
-    if missing:
-        raise InvalidInputError(
-            f"edge_map does not cover source edges {[source.edge_list[e] for e in missing]}"
-        )
+        a, b = vmap[sindex[src_ref[0]]], vmap[sindex[src_ref[1]]]
+        ta, tb = tindex[tgt_ref[0]], tindex[tgt_ref[1]]
+        tracked = tracked and (a == ta and b == tb or a == tb and b == ta)
+    if -1 in emap:
+        missing = [source.edge_list[e] for e, te in enumerate(emap) if te < 0]
+        raise InvalidInputError(f"edge_map does not cover source edges {missing}")
 
-    sindex, tindex = source.index, target.index
-    for e, (u, v) in enumerate(source.edge_list):
-        tu, tv = target.edge_list[emap[e]]
-        a, b = vmap[sindex[u]], vmap[sindex[v]]
-        ta, tb = tindex[tu], tindex[tv]
-        if not (a == ta and b == tb or a == tb and b == ta):
-            images = sorted({target.vertices[a], target.vertices[b]})
-            raise EndpointMismatchError(
-                f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {images}"
-            )
+    if not tracked:
+        # name the first edge, in edge_list order, whose endpoints do not track
+        for e, (u, v) in enumerate(source.edge_list):
+            tu, tv = target.edge_list[emap[e]]
+            a, b = vmap[sindex[u]], vmap[sindex[v]]
+            ta, tb = tindex[tu], tindex[tv]
+            if not (a == ta and b == tb or a == tb and b == ta):
+                images = sorted({target.vertices[a], target.vertices[b]})
+                raise EndpointMismatchError(
+                    f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {images}"
+                )
 
     degrees = [1] * len(source.vertices)
     if local_degree is not None:
@@ -150,7 +176,7 @@ def build_morphism(
         source=source,
         target=target,
         vertex_map=tuple(vmap),
-        edge_map=tuple(emap[e] for e in range(len(source.edge_list))),
+        edge_map=tuple(emap),
         local_degree=tuple(degrees),
         marked_legs=tuple(legs) if marked_legs else (),
     )
@@ -167,6 +193,21 @@ def identity_morphism(graph: Multigraph) -> GraphMorphism:
     )
 
 
+def _labels_at(graph: Multigraph, labels: Sequence[int]) -> list[list[int]]:
+    """Per vertex index, the labels of the edges at that vertex, where
+    ``labels[e]`` labels expanded edge e (see :attr:`Multigraph.edge_list`).
+    Each edge record takes one lookup per endpoint."""
+    index = graph.index
+    at: list[list[int]] = [[] for _ in graph.vertices]
+    pos = 0
+    for u, v, m in graph.edges:
+        copies = labels[pos:pos + m]
+        at[index[u]].extend(copies)
+        at[index[v]].extend(copies)
+        pos += m
+    return at
+
+
 def check_harmonic(f: GraphMorphism) -> HarmonicReport:
     """Verify harmonicity and the constant-global-degree condition.
 
@@ -174,26 +215,28 @@ def check_harmonic(f: GraphMorphism) -> HarmonicReport:
     source edges at the vertex over that target edge differs from the local
     degree, and every target vertex whose fiber sum of local degrees breaks
     the constant.
+
+    The images of the edges at each source vertex are gathered per vertex
+    index, one lookup per edge record endpoint.  A vertex is harmonic when
+    they are, sorted, the target edges at its image, each repeated m(v)
+    times; only a vertex where they are not counts its hits per target
+    edge.
     """
     src, tgt = f.source, f.target
     violations: list[dict] = []
 
-    edges_at: list[list[int]] = [[] for _ in src.vertices]
-    for e, (u, v) in enumerate(src.edge_list):
-        edges_at[src.index[u]].append(e)
-        edges_at[src.index[v]].append(e)
-    tgt_edges_at: list[list[int]] = [[] for _ in tgt.vertices]
-    for e, (u, v) in enumerate(tgt.edge_list):
-        tgt_edges_at[tgt.index[u]].append(e)
-        tgt_edges_at[tgt.index[v]].append(e)
-
-    for i, v in enumerate(src.vertices):
-        w = f.vertex_map[i]
-        counts = {e: 0 for e in tgt_edges_at[w]}
-        for e in edges_at[i]:
-            counts[f.edge_map[e]] += 1
-        for te in tgt_edges_at[w]:
-            if counts[te] != f.local_degree[i]:
+    images_at = _labels_at(src, f.edge_map)
+    tgt_edges_at = _labels_at(tgt, range(tgt.num_edges))
+    for v, w, m, images in zip(src.vertices, f.vertex_map, f.local_degree, images_at):
+        want = tgt_edges_at[w]
+        images.sort()
+        if images == (want if m == 1 else [te for te in want for _ in range(m)]):
+            continue
+        counts = dict.fromkeys(want, 0)
+        for te in images:
+            counts[te] += 1
+        for te in want:
+            if counts[te] != m:
                 tu, tv = tgt.edge_list[te]
                 violations.append(
                     {
@@ -201,7 +244,7 @@ def check_harmonic(f: GraphMorphism) -> HarmonicReport:
                         "vertex": v,
                         "target_edge": [tu, tv, _edge_copy(tgt, te)],
                         "count": counts[te],
-                        "expected": f.local_degree[i],
+                        "expected": m,
                     }
                 )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from . import families
 from .brill_noether import SearchResult
@@ -95,17 +95,24 @@ def load_graph(path: Union[str, Path]) -> tuple[str, Multigraph]:
     return graph_from_doc(load_json(path))
 
 
-def resolve_graph(ref: str, base_dir: Union[str, Path, None] = None) -> tuple[str, Multigraph]:
-    """Resolve a graph reference: an existing file path wins, then a family
-    spec such as ``banana(3)``."""
+def graph_file(ref: str, base_dir: Union[str, Path, None] = None) -> Optional[Path]:
+    """The existing file that graph reference ``ref`` names, or None.  A
+    relative path is looked up under ``base_dir`` first."""
     candidate = Path(ref)
     # os.path.exists is False, not an OSError, for a name too long to stat
     if base_dir is not None and not candidate.is_absolute():
         based = Path(base_dir) / candidate
         if os.path.exists(based):
-            candidate = based
-    if os.path.exists(candidate):
-        return load_graph(candidate)
+            return based
+    return candidate if os.path.exists(candidate) else None
+
+
+def resolve_graph(ref: str, base_dir: Union[str, Path, None] = None) -> tuple[str, Multigraph]:
+    """Resolve a graph reference: an existing file path wins, then a family
+    spec such as ``banana(3)``."""
+    path = graph_file(ref, base_dir)
+    if path is not None:
+        return load_graph(path)
     if families.is_family_spec(ref):
         return ref, families.from_spec(ref)
     raise InvalidInputError(f"{ref!r} is neither a readable graph file nor a family spec")

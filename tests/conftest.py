@@ -6,19 +6,22 @@ by solving the reduced Laplacian system over exact rationals (effectivity
 by scanning the effective divisors of the same degree for one in the class),
 and q-reducedness is tested by scanning all vertex subsets for a fireable set.
 Treewidth, exact by a dynamic program over vertex subsets, gives a floor
-under every witness's degree that no rank check enters.
+under every witness's degree that no rank check enters.  Harmonicity is
+judged by vertex names over the expanded edge lists, with no vertex index.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from divgraph import (
     Divisor,
+    GraphMorphism,
     Multigraph,
     build_graph,
     enumerate_classes,
@@ -334,3 +337,45 @@ def shuffled(graph: Multigraph, seed: int) -> Multigraph:
     vertices = list(graph.vertices)
     random.Random(seed).shuffle(vertices)
     return build_graph(vertices, graph.edges)
+
+
+def harmonic_violations_oracle(f: GraphMorphism) -> tuple[dict, ...]:
+    """The violations :func:`check_harmonic` should report, found by vertex
+    names over ``edge_list``: per source vertex v in vertex order, every
+    target edge at f(v), in target edge order, that the edges at v hit
+    other than m(v) times; then, when the fiber sums of m differ, every
+    target vertex with its sum.  A target edge is named by its endpoints
+    and its copy: the number of earlier entries of ``edge_list`` with the
+    same endpoints."""
+    src, tgt = f.source, f.target
+    image = {v: tgt.vertices[w] for v, w in zip(src.vertices, f.vertex_map)}
+    local = dict(zip(src.vertices, f.local_degree))
+    named = []
+    copies = Counter()
+    for u, v in tgt.edge_list:
+        named.append((u, v, copies[frozenset((u, v))]))
+        copies[frozenset((u, v))] += 1
+    violations = []
+    for v in src.vertices:
+        hits = Counter(
+            named[te] for (a, b), te in zip(src.edge_list, f.edge_map) if v in (a, b)
+        )
+        for edge in named:
+            if image[v] in edge[:2] and hits[edge] != local[v]:
+                violations.append(
+                    {
+                        "kind": "local",
+                        "vertex": v,
+                        "target_edge": list(edge),
+                        "count": hits[edge],
+                        "expected": local[v],
+                    }
+                )
+    sums = {w: 0 for w in tgt.vertices}
+    for v in src.vertices:
+        sums[image[v]] += local[v]
+    if len(set(sums.values())) > 1:
+        violations.extend(
+            {"kind": "degree", "target_vertex": w, "fiber_sum": s} for w, s in sums.items()
+        )
+    return tuple(violations)

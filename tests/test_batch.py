@@ -170,6 +170,30 @@ class TestBatchRun:
         assert (rerun["total_units"], rerun["skipped"], rerun["new_units"]) == (1, 1, 0)
         assert out.read_bytes() == before
 
+    def test_spellings_of_one_spec_run_once(self, tmp_path):
+        # five spellings of two genus-1 graphs, 4 (d, r) units each
+        graphs = ["banana(1)", "banana( 1)", "banana(01)", "chain-of-loops(1)", "chain(1)"]
+        config = {"graphs": graphs, "params": {"d_max": 2, "r_max": 1}}
+        out = tmp_path / "runs.jsonl"
+        summary = batch_run(config, out)
+        assert (summary["total_units"], summary["new_units"]) == (8, 8)
+        records = read_records(out)
+        assert [r["key"].split("|")[0] for r in records] == ["banana(1)"] * 4 + ["chain(1)"] * 4
+        # a unit keeps its first spelling
+        assert [r["graph"] for r in records] == ["banana(1)"] * 4 + ["chain-of-loops(1)"] * 4
+        rerun = batch_run(config, out)
+        assert (rerun["total_units"], rerun["skipped"], rerun["new_units"]) == (8, 8, 0)
+
+    def test_a_file_named_like_a_spec_keeps_its_reference(self, tmp_path):
+        (tmp_path / "banana(01)").write_text(
+            json.dumps({"name": "file", "vertices": ["a", "b"], "edges": [["a", "b", 3]]}),
+            encoding="utf-8",
+        )
+        config = {"graphs": ["banana(01)", "banana(1)"], "params": {"pairs": [[2, 1]]}}
+        units = expand_units(config, tmp_path)
+        assert [unit[0] for unit in units.values()] == ["banana(01)", "banana(1)"]
+        assert list(units) == [unit_key(ref, 2, 1, SearchLimits()) for ref in ("banana(01)", "banana(1)")]
+
     def test_repeated_graph_one_record_per_key(self, tmp_path):
         config = dict(BASE_CONFIG, graphs=BASE_CONFIG["graphs"] * 2)
         once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"

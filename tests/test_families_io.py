@@ -7,6 +7,7 @@ import pytest
 from divgraph import Divisor, InvalidInputError, UnknownVertexError, genus
 from divgraph.families import (
     banana,
+    canonical_spec,
     chain_of_loops,
     cycle,
     from_spec,
@@ -101,6 +102,28 @@ class TestFamilySpecs:
     def test_oversized_spec_fails_before_building(self, spec):
         with pytest.raises(InvalidInputError, match="limit"):
             from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec,canonical",
+        [
+            ("banana(1)", "banana(1)"),
+            ("banana( 1)", "banana(1)"),
+            ("banana(01)", "banana(1)"),
+            (" banana ( 1 ) ", "banana(1)"),
+            ("chain-of-loops(1)", "chain(1)"),
+            ("theta( 1 ,02, 3)", "theta(1,2,3)"),
+            ("random(5,8,007)", "random(5,8,7)"),
+            ("cycle(-0)", "cycle(0)"),
+        ],
+    )
+    def test_canonical_spelling(self, spec, canonical):
+        assert canonical_spec(spec) == canonical
+        assert canonical_spec(canonical) == canonical
+
+    @pytest.mark.parametrize("bad", ["banana", "petersen(1)", "banana(1,2)", "banana(x)"])
+    def test_canonical_spelling_of_malformed_spec(self, bad):
+        with pytest.raises(InvalidInputError):
+            canonical_spec(bad)
 
     def test_size_limit_is_inclusive(self):
         assert from_spec(f"banana({MAX_GRAPH_SIZE - 1})").num_edges == MAX_GRAPH_SIZE

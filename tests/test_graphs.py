@@ -1,6 +1,7 @@
 """Graph construction, genus, Laplacian, tree counting, refinement."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,8 +22,9 @@ from divgraph import (
     spanning_tree_count,
     transport,
 )
-from divgraph.families import banana, cycle, random_multigraph, theta
+from divgraph.families import banana, cycle, from_spec, random_multigraph, theta
 from divgraph.graphs import MAX_GRAPH_SIZE
+from divgraph.io import graph_from_doc, graph_to_doc
 
 from conftest import CORPUS, refined_treewidth, spanning_trees_bruteforce, treewidth
 
@@ -66,6 +68,74 @@ class TestBuildGraph:
         g = build_graph(["a", "b"], [("a", "b"), ("b", "a", 2)])
         assert g.multiplicity("a", "b") == 3
         assert len(g.edges) == 1
+
+
+def merged_by_frozenset(edges) -> tuple:
+    """The edge records of a graph document, merged on the unordered name
+    pair: each merged record keeps its first record's orientation and place."""
+    merged = {}
+    for spec in edges:
+        u, v, m = spec if len(spec) == 3 else (*spec, 1)
+        key = frozenset((u, v))
+        a, b, prev = merged.get(key, (u, v, 0))
+        merged[key] = (a, b, prev + m)
+    return tuple(merged.values())
+
+
+def random_document(seed: int) -> tuple[list, list]:
+    """A connected graph document with shuffled names and records split
+    into parallel pieces in both orientations, two- and three-element."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    names = [f"n{rng.randrange(10**6)}-{i}" for i in range(n)]
+    rng.shuffle(names)
+    pairs = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    pairs += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)]
+    edges = []
+    for u, v in pairs:
+        for _ in range(rng.randint(1, 3)):
+            a, b = (u, v) if rng.random() < 0.5 else (v, u)
+            edges.append([a, b] if rng.random() < 0.5 else [a, b, rng.randint(1, 3)])
+    rng.shuffle(edges)
+    return names, edges
+
+
+def _built_graphs():
+    cases = [pytest.param(g, id=name) for name, g in CORPUS]
+    specs = ["banana(0)", "cycle(2)", "cycle(9)", "theta(1,2,3)", "chain(5)", "random(7,12,4)"]
+    cases += [pytest.param(from_spec(spec), id=spec) for spec in specs]
+    cases += [
+        pytest.param(graph_from_doc(graph_to_doc(refine(g, k)[0], name))[1], id=f"{name}^({k})")
+        for name, g in CORPUS[::3]
+        for k in (1, 3)
+    ]
+    return cases
+
+
+class TestBuiltCaches:
+    """build_graph hands each graph the ``index`` and ``adjacency`` it
+    computed on the way; they equal what a raw Multigraph computes from its
+    vertex names."""
+
+    @staticmethod
+    def assert_caches_match(graph):
+        raw = Multigraph(graph.vertices, graph.edges)
+        assert graph.index == raw.index
+        assert graph.adjacency == raw.adjacency
+        assert graph.degrees == raw.degrees
+        assert graph.bfs_distances(0) == raw.bfs_distances(0)
+
+    @pytest.mark.parametrize("graph", _built_graphs())
+    def test_corpus_families_and_refinements(self, graph):
+        self.assert_caches_match(graph)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_documents_with_merged_records(self, seed):
+        names, edges = random_document(seed)
+        graph = build_graph(names, edges)
+        assert graph.vertices == tuple(names)
+        assert graph.edges == merged_by_frozenset(edges)
+        self.assert_caches_match(graph)
 
 
 class TestMultiplicity:

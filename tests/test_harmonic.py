@@ -1,5 +1,6 @@
 """Harmonic morphisms: validity, Riemann-Hurwitz, pullback, contraction."""
 
+import dataclasses
 import random
 import re
 
@@ -25,7 +26,7 @@ from divgraph import (
 )
 from divgraph.families import banana, cycle, theta
 
-from conftest import CORPUS
+from conftest import CORPUS, harmonic_violations_oracle
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,116 @@ class TestCheckHarmonic:
                 {"a": "x", "b": "y", "c": "x"},
                 [(("a", "b"), ("x", "y"))],
             )
+
+
+def _ref(rng: random.Random, u: str, v: str, copy: int):
+    """An edge reference in a random spelling: either orientation, list or
+    tuple, and two elements when the copy is 0 half of the time."""
+    ref = [u, v] if rng.random() < 0.5 else [v, u]
+    if copy or rng.random() < 0.5:
+        ref.append(copy)
+    return ref if rng.random() < 0.5 else tuple(ref)
+
+
+def cycle_cover(k: int, n: int, rng: random.Random):
+    """The cover C_(kn) -> C_n of degree k, with shuffled vertex and edge
+    orders, random orientations and a random rotation.  For n = 2 the
+    target is a doubled edge, and source edge j takes copy j mod 2."""
+    kn, shift = k * n, rng.randrange(n)
+    src = [f"s{j}" for j in range(kn)]
+    tgt = [f"t{i}" for i in range(n)]
+    src_edges = [[src[j], src[(j + 1) % kn]] for j in range(kn)]
+    tgt_edges = [[tgt[i], tgt[(i + 1) % n]] for i in range(n)]
+    edge_map = []
+    for j, (u, v) in enumerate(src_edges):
+        i = (j + shift) % n
+        target_copy = i if n == 2 else 0
+        edge_map.append([_ref(rng, u, v, j if kn == 2 else 0), _ref(rng, *tgt_edges[i], target_copy)])
+    vertex_map = {src[j]: tgt[(j + shift) % n] for j in range(kn)}
+    for items in (src, tgt, src_edges, tgt_edges, edge_map):
+        rng.shuffle(items)
+    for edges in (src_edges, tgt_edges):
+        for e in edges:
+            if rng.random() < 0.5:
+                e.reverse()
+    return build_morphism(
+        build_graph(src, src_edges), build_graph(tgt, tgt_edges), vertex_map, edge_map
+    )
+
+
+def bond_map(rng: random.Random, source, target):
+    """A morphism between two graphs on the same vertex names, the identity
+    on vertices: each parallel copy of a source bond maps to a random copy
+    of the same target bond, and each vertex gets a local degree in 1..3."""
+    edge_map = []
+    for u, v, m in source.edges:
+        for c in range(m):
+            edge_map.append([_ref(rng, u, v, c), _ref(rng, u, v, rng.randrange(target.multiplicity(u, v)))])
+    rng.shuffle(edge_map)
+    vertices = source.vertices
+    local = {v: rng.randint(1, 3) for v in vertices if rng.random() < 0.8}
+    return build_morphism(source, target, {v: v for v in vertices}, edge_map, local)
+
+
+def balanced_banana_map(rng: random.Random, q: int, m: int):
+    """banana(mq - 1) onto banana(q - 1) with local degree m at both
+    vertices, each target copy hit m times: harmonic of degree m."""
+    source, target = banana(m * q - 1), banana(q - 1)
+    images = [c for c in range(q) for _ in range(m)]
+    rng.shuffle(images)
+    edge_map = [[_ref(rng, "v0", "v1", c), _ref(rng, "v0", "v1", t)] for c, t in enumerate(images)]
+    return build_morphism(source, target, {"v0": "v0", "v1": "v1"}, edge_map, {"v0": m, "v1": m})
+
+
+class TestHarmonicOracle:
+    """check_harmonic against :func:`harmonic_violations_oracle`: the same
+    violations, entry for entry, in the same order."""
+
+    @staticmethod
+    def assert_matches_oracle(f):
+        report = check_harmonic(f)
+        assert report.violations == harmonic_violations_oracle(f)
+        assert report.harmonic == (not report.violations)
+        return report
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cycle_covers(self, seed):
+        rng = random.Random(seed)
+        k, n = rng.randint(1, 4), rng.randint(2, 7)
+        report = self.assert_matches_oracle(cycle_cover(k, n, rng))
+        assert report.harmonic and report.degree == k
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_banana_maps_with_random_local_degrees(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches_oracle(bond_map(rng, banana(rng.randint(0, 5)), banana(rng.randint(0, 3))))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_balanced_banana_maps(self, seed):
+        rng = random.Random(seed)
+        q, m = rng.randint(1, 4), rng.randint(1, 3)
+        report = self.assert_matches_oracle(balanced_banana_map(rng, q, m))
+        assert report.harmonic and report.degree == m
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_theta_maps_with_random_local_degrees(self, seed):
+        rng = random.Random(seed)
+        sides = lambda: [rng.randint(1, 4) for _ in range(3)]  # noqa: E731
+        self.assert_matches_oracle(bond_map(rng, theta(*sides()), theta(*sides())))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mutated_edge_maps(self, seed):
+        """A cover whose edge map moves edges to other copies of the same
+        target bond, and whose local degrees are redrawn."""
+        rng = random.Random(seed)
+        f = cycle_cover(rng.randint(1, 4), 2, rng) if seed % 2 else balanced_banana_map(rng, 3, 2)
+        edge_map = list(f.edge_map)
+        for _ in range(rng.randint(1, 3)):
+            e = rng.randrange(len(edge_map))
+            u, v = f.target.edge_list[edge_map[e]]
+            edge_map[e] = f.target.edge_index(u, v, rng.randrange(f.target.multiplicity(u, v)))
+        local = tuple(rng.choice((m, m, rng.randint(1, 3))) for m in f.local_degree)
+        self.assert_matches_oracle(dataclasses.replace(f, edge_map=tuple(edge_map), local_degree=local))
 
 
 class TestRiemannHurwitz:
