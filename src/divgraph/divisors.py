@@ -242,8 +242,11 @@ def _reduce_coeffs(
     dist = graph.bfs_distances(q)
 
     if any(coeffs[v] < 0 for v in range(n) if v != q):
-        for layer in range(max(dist), 0, -1):
-            members = [v for v in range(n) if dist[v] == layer]
+        layers: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+        for v in range(n):
+            layers[dist[v]].append(v)
+        for layer in range(len(layers) - 1, 0, -1):
+            members = layers[layer]
             rounds = 0
             for v in members:
                 if coeffs[v] < 0:
@@ -566,9 +569,8 @@ def _anchors_burn(
     return not left
 
 
-# the most entries an enumerate_classes memo holds: the burn and screen
-# memos drop their least recently used entry beyond it, the count memo is
-# cleared there
+# the most entries each of the two enumerate_classes memos, burn and
+# screen, holds: it drops its least recently used entry beyond it
 _MEMO_CAP = 1 << 16
 
 
@@ -648,23 +650,24 @@ def enumerate_classes(
     Once a bump leaves ``spare <= r``, every class that adds chips right
     of it holds fewer than r chips at q.  The walk counts that block of
     classes instead of walking it, and goes on by bumping the same
-    coordinate again.  The count is a depth-first search with an explicit
-    stack, in which each class of the block branches on where its next
-    chip goes, right of its last one.  An anchor takes each value whose
-    burn passes.  A run of consecutive positions in one chip-free chain
-    takes its chip as one branch, weighted by the run's length, since the
-    burn sees only the chain's chip count.  So the number of classes below
-    a branch depends only on its first free position and its key, and
-    ``counts`` keeps it under both.  The count stops as soon as it passes
-    what ``limit`` leaves.
+    coordinate again.  The count is a weighted depth-first search with an
+    explicit stack, in which each class of the block branches on where its
+    next chip goes, right of its last one.  An anchor takes each value
+    whose burn passes.  A chip-free chain takes its chip as one branch, at
+    its first position the class reaches, weighted by ``rest``, the number
+    of its positions from there on, wherever they sit in the vertex order,
+    since the burn sees only the chain's chip count.  Past that branch the
+    class leaves the chain empty: it adds the chain's bit to its mask of
+    empty chains and skips the chain's later positions, so a chain split
+    into several runs of the vertex order is still counted once.  A run
+    of consecutive positions in one chain is skipped in one step.  The
+    count stops as soon as it passes what ``limit`` leaves.
 
     The screen reads the same state as the anchor burn, through the chain
     bits of the chip-holding vertices, and ``key`` fixes the q slot too, so
     ``screened`` keeps the screen's verdict per key.  ``burns`` and
     ``screened`` are :func:`functools.lru_cache` memos of ``_MEMO_CAP``
-    entries; ``counts``, whose entries the count stores as it finishes
-    them, is cleared at the same ``_MEMO_CAP`` entries, so the memory of
-    all three stays bounded on large graphs.
+    entries, so their memory stays bounded on large graphs.
     """
     qi = graph.vertex_index(q, "base vertex")
     check_int(d, "d")
@@ -684,14 +687,17 @@ def enumerate_classes(
     memo = lru_cache(maxsize=_MEMO_CAP)
     burns = memo(lambda key: _anchors_burn(links, coeffs, key, qi, anchors))
     screened = memo(lambda key: _anchor_screen(graph, qi, coeffs, r))
-    counts: dict[int, int] = {}
     order = [i for i in range(len(graph.vertices)) if i != qi]
     size = len(order)
-    # the chain bit at each position (0 at an anchor), and the end of the
-    # run of consecutive positions in the same chain from there on
-    bit = [bits[v] for v in order]
+    # the chain bit at each position (0 at an anchor, and past the end),
+    # the end of the run of consecutive positions in the same chain from
+    # there on, and the number of that chain's positions from there on
+    bit = [bits[v] for v in order] + [0]
     run_end = list(range(1, size + 1))
-    for p in range(size - 2, -1, -1):
+    rest = [0] * size
+    later: dict[int, int] = {}
+    for p in range(size - 1, -1, -1):
+        rest[p] = later[bit[p]] = later.get(bit[p], 0) + 1
         if bit[p] and bit[p + 1] == bit[p]:
             run_end[p] = run_end[p + 1]
     spare = d
@@ -705,59 +711,44 @@ def enumerate_classes(
     def count(p: int, key: int, cap: float) -> int:
         """The superstables that agree with ``coeffs`` before position p,
         if there are at most ``cap`` of them, else a number above cap."""
-        total = 0
-        mult = w = 1
-        # open classes: [next position, key, multiplier, count so far,
-        # value at the next position, weight, first free position]
-        frames: list[list[int]] = []
-        while True:
-            s = 1 if p == size else counts.get(key * (size + 1) + p)
-            if s is None:
-                frames.append([p, key, mult, 1, 0, w, p])
-                total += mult
+        total = 1
+        # open classes: [next position, key, multiplier, value at the next
+        # position, chains left empty]
+        frames = [[p, key, 1, 0, 0]]
+        while frames:
+            frame = frames[-1]
+            p, key, mult, a, empty = frame
+            while p < size:
+                b = bit[p]
+                if b:
+                    if not a and not (key | empty) & b and burns(key + b):
+                        a = 1
+                        break
+                    a = 0
+                    empty |= b
+                    p = run_end[p]
+                else:
+                    v = order[p]
+                    a += 1
+                    if a < degrees[v]:
+                        coeffs[v] = a
+                        if burns(key + a * weight[v]):
+                            break
+                    coeffs[v] = a = 0
+                    p += 1
             else:
-                total += mult * s
-                if not frames:
-                    return total
-                frames[-1][3] += w * s
+                frames.pop()
+                continue
+            frame[0], frame[3], frame[4] = p, a, empty
+            if b:
+                mult *= rest[p]
+                frames.append([run_end[p], key + b, mult, 0, empty])
+            else:
+                frames.append([p + 1, key + a * weight[v], mult, 0, empty])
+            total += mult
             if total > cap:
                 return total
-            while True:
-                frame = frames[-1]
-                p, key, mult, acc, a, w, start = frame
-                while p < size:
-                    b = bit[p]
-                    if b:
-                        if not a and not key & b and burns(key + b):
-                            a = 1
-                            break
-                        a = 0
-                        p = run_end[p]
-                    else:
-                        v = order[p]
-                        a += 1
-                        if a < degrees[v]:
-                            coeffs[v] = a
-                            if burns(key + a * weight[v]):
-                                break
-                        coeffs[v] = a = 0
-                        p += 1
-                else:
-                    if len(counts) >= _MEMO_CAP:
-                        counts.clear()
-                    counts[key * (size + 1) + start] = acc
-                    frames.pop()
-                    if not frames:
-                        return acc
-                    frames[-1][3] += w * acc
-                    continue
-                frame[0], frame[4] = p, a
-                break
-            if b:
-                p, key, w = run_end[p], key + b, run_end[p] - p
-            else:
-                p, key, w = p + 1, key + a * weight[v], 1
-            mult *= w
+        return total
 
     position = 0
     j = -1  # the position of the last bump: none yet

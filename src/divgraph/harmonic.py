@@ -131,7 +131,8 @@ def build_morphism(
     # once resolved, a reference's first two entries are its edge's endpoints
     sindex, tindex = source.index, target.index
     emap = [-1] * source.num_edges
-    tracked = True
+    # the first source edge, in edge_list order, whose endpoints do not track
+    bad = source.num_edges
     for entry in check_type(edge_map, "array", "edge_map"):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise InvalidInputError(f"edge_map entry {entry!r} is not [source_edge, target_edge]")
@@ -142,22 +143,18 @@ def build_morphism(
         emap[e] = edge_ref(target, tgt_ref)
         a, b = vmap[sindex[src_ref[0]]], vmap[sindex[src_ref[1]]]
         ta, tb = tindex[tgt_ref[0]], tindex[tgt_ref[1]]
-        tracked = tracked and (a == ta and b == tb or a == tb and b == ta)
+        if e < bad and not (a == ta and b == tb or a == tb and b == ta):
+            bad = e
     if -1 in emap:
         missing = [source.edge_list[e] for e, te in enumerate(emap) if te < 0]
         raise InvalidInputError(f"edge_map does not cover source edges {missing}")
-
-    if not tracked:
-        # name the first edge, in edge_list order, whose endpoints do not track
-        for e, (u, v) in enumerate(source.edge_list):
-            tu, tv = target.edge_list[emap[e]]
-            a, b = vmap[sindex[u]], vmap[sindex[v]]
-            ta, tb = tindex[tu], tindex[tv]
-            if not (a == ta and b == tb or a == tb and b == ta):
-                images = sorted({target.vertices[a], target.vertices[b]})
-                raise EndpointMismatchError(
-                    f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {images}"
-                )
+    if bad < source.num_edges:
+        u, v = source.edge_list[bad]
+        tu, tv = target.edge_list[emap[bad]]
+        images = sorted({target.vertices[vmap[sindex[u]]], target.vertices[vmap[sindex[v]]]})
+        raise EndpointMismatchError(
+            f"edge ({u},{v}) maps to ({tu},{tv}) but its endpoints map to {images}"
+        )
 
     degrees = [1] * len(source.vertices)
     if local_degree is not None:

@@ -39,7 +39,7 @@ from divgraph import (
 from divgraph.brill_noether import _search_one_level
 from divgraph.divisors import _scan_rank
 from divgraph.harmonic import identity_morphism, pullback
-from divgraph.families import banana, cycle, random_multigraph, theta
+from divgraph.families import banana, chain_of_loops, cycle, random_multigraph, theta
 from divgraph.io import load_graph
 
 from conftest import (
@@ -794,6 +794,37 @@ class TestEnumerateClasses:
         assert len(configs) == 270
         assert len(states) == len(set(states)) == self.WALK_BURNS
 
+    def test_split_chains_are_counted_once(self, monkeypatch):
+        # the count branches on a chip-free chain once, at its first
+        # position, however many runs of the vertex order its vertices
+        # form, so a shuffled order asks the burn and screen memos about as
+        # often as the refine order, where each chain is one run
+        lookups = 0
+        lru_cache = divgraph.divisors.lru_cache
+
+        def counting(maxsize):
+            def wrap(f):
+                cached = lru_cache(maxsize=maxsize)(f)
+
+                def lookup(key):
+                    nonlocal lookups
+                    lookups += 1
+                    return cached(key)
+
+                return lookup
+
+            return wrap
+
+        monkeypatch.setattr(divgraph.divisors, "lru_cache", counting)
+        graph, _ = refine(chain_of_loops(3), 6)
+        scans = {}
+        for seed in (None, 1, 5, 7):
+            lookups = 0
+            level = graph if seed is None else shuffled(graph, seed)
+            assert _search_one_level(level, 1, 1, None) == (None, 2744, False)
+            scans[seed] = lookups
+        assert all(scans[seed] <= 2 * scans[None] for seed in (1, 5, 7)), scans
+
     @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
     def test_no_state_is_burnt_twice(self, monkeypatch, name, graph):
         for q in graph.vertices:
@@ -802,7 +833,7 @@ class TestEnumerateClasses:
 
     @pytest.mark.parametrize("name,graph", CHAIN_GRAPHS)
     def test_matches_subset_oracle_with_a_tiny_memo(self, monkeypatch, name, graph):
-        # the memo is cleared after every second entry
+        # each memo drops its least recently used entry beyond the second
         monkeypatch.setattr(divgraph.divisors, "_MEMO_CAP", 2)
         self.test_matches_subset_oracle_at_every_base(name, graph)
 
@@ -819,8 +850,8 @@ class TestEnumerateClasses:
     def test_threshold_with_a_tiny_memo(self, monkeypatch, name, graph):
         # the walk with a threshold yields the classes with D(q) >= r that
         # the anchor screen passes, at their positions in the full walk, and
-        # counts the others; the burn, count and screen memos are cleared
-        # after every second entry
+        # counts the others; the burn and screen memos drop their least
+        # recently used entry beyond the second
         monkeypatch.setattr(divgraph.divisors, "_MEMO_CAP", 2)
         for q in graph.vertices:
             for r in range(4):
