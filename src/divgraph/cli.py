@@ -32,10 +32,11 @@ from .divisors import rank, reduce, riemann_roch_residual, transport
 from .errors import (
     DivGraphError,
     IntegerTooLargeError,
+    InvalidInputError,
     PreconditionViolatedError,
     check_type,
 )
-from .graphs import genus, laplacian, refine, spanning_tree_count
+from .graphs import MAX_GRAPH_SIZE, genus, laplacian, refine, spanning_tree_count
 from .harmonic import check_harmonic, contract, pullback, pushforward_contraction, riemann_hurwitz_check
 from .io import (
     divisor_to_doc,
@@ -214,8 +215,19 @@ def _cmd_rho(args) -> tuple[dict, int]:
     return {"g": args.g, "d": args.d, "r": args.r, "rho": value}, 0
 
 
+def _bound_report(g: int, d: int, r: int):
+    """:func:`bound_report`, refused with :class:`InvalidInputError` before
+    g! is taken when g exceeds :data:`MAX_GRAPH_SIZE`: a graph's genus is
+    at most its edge count, so no graph divgraph builds has such a genus."""
+    if g > MAX_GRAPH_SIZE:
+        raise InvalidInputError(
+            f"genus {g} is above {MAX_GRAPH_SIZE}, the most edges a graph may have"
+        )
+    return bound_report(g, d, r)
+
+
 def _cmd_bound(args) -> tuple[dict, int]:
-    report = bound_report(args.g, args.d, args.r)
+    report = _bound_report(args.g, args.d, args.r)
     return {
         "g": args.g,
         "d": args.d,
@@ -252,7 +264,7 @@ def _cmd_bound_legacy(args) -> tuple[dict, int]:
 
 
 def _cmd_bound_compare(args) -> tuple[dict, int]:
-    report = bound_report(args.g, args.d, args.r)
+    report = _bound_report(args.g, args.d, args.r)
     # the genus-minimal graph shape (2 vertices, g+1 edges); none for d = 0
     legacy = _printable_legacy_bound(2, args.g + 1, args.d, args.r) if args.d >= 1 else None
     out = {

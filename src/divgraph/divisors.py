@@ -45,19 +45,14 @@ class Divisor:
     @classmethod
     def from_map(cls, graph: Multigraph, values: Mapping[str, int]) -> "Divisor":
         """Build from a vertex-name map; omitted vertices get 0.  A value
-        goes through :func:`check_int`, then its name takes one lookup in
-        the graph's ``index``; a name that misses (not an exact ``str``, or
-        not a vertex) goes through :meth:`Multigraph.vertex_index`."""
+        goes through :func:`check_int`, then its name through
+        :meth:`Multigraph.vertex_index`."""
         coeffs = [0] * len(graph.vertices)
-        get = graph.index.get
         for v, c in values.items():
             # the message is built only for a value that fails the check
             if type(c) is not int:
                 check_int(c, f"divisor coefficient for {v!r}")
-            i = get(v) if type(v) is str else None
-            if i is None:
-                i = graph.vertex_index(v, "divisor vertex")
-            coeffs[i] = c
+            coeffs[graph.vertex_index(v, "divisor vertex")] = c
         return cls(graph, tuple(coeffs))
 
     @classmethod

@@ -70,10 +70,14 @@ class Multigraph:
         return {name: i for i, name in enumerate(self.vertices)}
 
     def vertex_index(self, name: str, what: str = "vertex") -> int:
-        """The index of vertex ``name``, named ``what`` in the errors: a name
-        that is not a string raises :class:`InvalidInputError` (so ``1``
-        never matches ``"1"``), an unknown one :class:`UnknownVertexError`."""
-        i = self.index.get(check_type(name, "string", what))
+        """The index of vertex ``name``, named ``what`` in the errors.  An
+        exact ``str`` takes one lookup in :attr:`index`; only any other
+        name goes through :func:`check_type`, so a name that is not a
+        string raises :class:`InvalidInputError` (``1`` never matches
+        ``"1"``).  An unknown name raises :class:`UnknownVertexError`."""
+        if type(name) is not str:
+            check_type(name, "string", what)
+        i = self.index.get(name)
         if i is None:
             raise UnknownVertexError(f"unknown {what} {name!r}")
         return i
@@ -437,38 +441,34 @@ def refine(graph: Multigraph, k: int) -> tuple[Multigraph, RefinementMap]:
     Inserted vertices are named ``u:v:c:i`` from the stored edge record
     ``(u, v)``, parallel-copy index c and position i (1-based, counted from
     u), which keeps refined graphs and golden files stable.  ``refine(G, 0)``
-    returns an isomorphic copy with the identity map.  The genus is
-    invariant under refinement.
+    returns ``G`` itself, with its cached index and adjacency, and the
+    identity map.  The genus is invariant under refinement.
     """
     check_int(k, "refinement index k", 0)
-    if k:
-        m = graph.num_edges
-        check_graph_size(len(graph.vertices) + k * m, (k + 1) * m, f"refinement with k = {k}")
+    if k == 0:
+        return graph, RefinementMap(graph, graph, 0, ((),) * graph.num_edges)
+    m = graph.num_edges
+    check_graph_size(len(graph.vertices) + k * m, (k + 1) * m, f"refinement with k = {k}")
     new_vertices = list(graph.vertices)
     taken = set(new_vertices)
     new_edges: list[tuple[str, str, int]] = []
     chains: list[tuple[str, ...]] = []
-
-    if k == 0:
-        target = Multigraph(tuple(new_vertices), graph.edges)
-        chains = [() for _ in graph.edge_list]
-    else:
-        for u, v, m in graph.edges:
-            for c in range(m):
-                chain = []
-                for i in range(1, k + 1):
-                    name = f"{u}{_REFINE_SEP}{v}{_REFINE_SEP}{c}{_REFINE_SEP}{i}"
-                    if name in taken:
-                        raise InvalidInputError(
-                            f"inserted vertex name {name!r} collides with an existing vertex"
-                        )
-                    taken.add(name)
-                    chain.append(name)
-                new_vertices.extend(chain)
-                path = [u, *chain, v]
-                new_edges.extend((path[i], path[i + 1], 1) for i in range(k + 1))
-                chains.append(tuple(chain))
-        target = Multigraph(tuple(new_vertices), tuple(new_edges))
+    for u, v, m in graph.edges:
+        for c in range(m):
+            chain = []
+            for i in range(1, k + 1):
+                name = f"{u}{_REFINE_SEP}{v}{_REFINE_SEP}{c}{_REFINE_SEP}{i}"
+                if name in taken:
+                    raise InvalidInputError(
+                        f"inserted vertex name {name!r} collides with an existing vertex"
+                    )
+                taken.add(name)
+                chain.append(name)
+            new_vertices.extend(chain)
+            path = [u, *chain, v]
+            new_edges.extend((path[i], path[i + 1], 1) for i in range(k + 1))
+            chains.append(tuple(chain))
+    target = Multigraph(tuple(new_vertices), tuple(new_edges))
 
     iota = RefinementMap(
         source=graph,

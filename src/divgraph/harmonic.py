@@ -88,29 +88,23 @@ def build_morphism(
     defaults to 0.  Only None takes the default; any other value that is
     not an object raises, falsy or not.
 
-    Each ``vertex_map`` name takes one lookup in the graph's ``index``, and
-    each two-element edge reference of exact strings one lookup of its
-    edge record (two when it names the edge against the stored
-    orientation); endpoints are then compared as vertex indices.  A lookup
-    that misses (a name that is not an exact ``str`` or not a vertex, a
-    three-element reference, an absent edge) goes through
-    :meth:`Multigraph.vertex_index` and :meth:`Multigraph.edge_index`,
-    which raise the errors.  Structural failures (unmapped or repeated
+    Every vertex name goes through :meth:`Multigraph.vertex_index`, a
+    ``vertex_map`` image before its key.  Each two-element edge reference
+    of exact strings takes one lookup of its edge record (two when it
+    names the edge against the stored orientation); endpoints are then
+    compared as vertex indices.  A reference that misses (a name that is
+    not an exact ``str`` or not a vertex, a three-element reference, an
+    absent edge) goes through :meth:`Multigraph.edge_index`, which raises
+    the errors.  Structural failures (unmapped or repeated
     edges, endpoints that do not track the vertex map) raise, in that
     order, and a mismatch names the first such edge of ``edge_list``;
     harmonicity itself is judged by :func:`check_harmonic`.
     """
-    sget, tget = source.index.get, target.index.get
     vmap = [-1] * len(source.vertices)
     for v, w in check_type(vertex_map, "object", "vertex_map").items():
         # the image is checked before the key
-        j = tget(w) if type(w) is str else None
-        if j is None:
-            j = target.vertex_index(w, "vertex_map image")
-        i = sget(v) if type(v) is str else None
-        if i is None:
-            i = source.vertex_index(v, "vertex_map key")
-        vmap[i] = j
+        j = target.vertex_index(w, "vertex_map image")
+        vmap[source.vertex_index(v, "vertex_map key")] = j
     if -1 in vmap:
         v = source.vertices[vmap.index(-1)]
         raise UnknownVertexError(f"vertex_map does not cover source vertex {v!r}")

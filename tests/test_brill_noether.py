@@ -245,6 +245,8 @@ class TestFindGdr:
     def test_doubled_triangle_g13(self, theta222):
         result = find_gdr(theta222, 3, 1)
         assert result.found and result.k == 0
+        # level 0 is the input graph, scanned with the caches it holds
+        assert result.witness.graph is theta222
         verify_witness(theta222, result, 3, 1)
         assert is_equivalent(theta222, result.witness, Divisor(theta222, (1, 1, 1)))
 

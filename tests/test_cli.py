@@ -781,6 +781,32 @@ class TestHugeIntegers:
             sys.set_int_max_str_digits(old)
         assert code == 2 and report["error"] == "integer-too-large"
 
+    # no graph has a genus above its edge count, which MAX_GRAPH_SIZE caps;
+    # g! at g = 10^6 takes seconds, so the refusal comes first
+    @pytest.mark.parametrize("command", ["bound", "bound-compare"])
+    @pytest.mark.parametrize("g", [100_001, 10**7])
+    def test_genus_above_graph_size_is_refused_before_the_factorial(
+        self, capsys, monkeypatch, command, g
+    ):
+        def refuse(n):
+            raise AssertionError("g! was taken")
+
+        monkeypatch.setattr(divgraph.brill_noether, "factorial", refuse)
+        code, report = run_json(capsys, command, "--g", str(g), "--d", str(g), "--r", "1")
+        assert code == 2 and report["error"] == "invalid-input"
+
+    def test_genus_at_graph_size_is_answered(self, capsys, monkeypatch):
+        taken = []
+
+        def cheap_factorial(n):
+            taken.append(n)
+            return 1
+
+        monkeypatch.setattr(divgraph.brill_noether, "factorial", cheap_factorial)
+        # d = g, r = 0: the bound is g! itself
+        code, report = run_json(capsys, "bound", "--g", "100000", "--d", "100000", "--r", "0")
+        assert code == 0 and report["theorem_bound"] == 1 and taken == [100_000]
+
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
     )

@@ -9,6 +9,7 @@ import pytest
 
 import divgraph.brill_noether
 import divgraph.divisors
+import divgraph.graphs
 from divgraph import (
     Divisor,
     EmptyOrFullSetError,
@@ -16,6 +17,7 @@ from divgraph import (
     InvalidInputError,
     UnknownVertexError,
     build_graph,
+    build_morphism,
     canonical,
     contract,
     enumerate_classes,
@@ -129,6 +131,44 @@ class TestVertexNames:
     def test_at_unknown_vertex(self, theta222):
         with pytest.raises(UnknownVertexError):
             Divisor.zero(theta222).at("zz")
+
+    @staticmethod
+    def _cover(source, target):
+        """The cover of cycle(m) by cycle(n), v_j -> v_(j mod m), for m dividing n."""
+        n, m = len(source.vertices), len(target.vertices)
+        return build_morphism(
+            source,
+            target,
+            {f"v{j}": f"v{j % m}" for j in range(n)},
+            [[[f"v{j}", f"v{(j + 1) % n}"], [f"v{j % m}", f"v{(j + 1) % m}"]] for j in range(n)],
+            local_degree={"v0": 1},
+            marked_legs={"v0": 0},
+        )
+
+    VALID = {
+        "vertex_divisor": lambda s, t: vertex_divisor(s, "v1"),
+        "fire_set": lambda s, t: fire_set(s, Divisor.zero(s), ["v0", "v1"]),
+        "principal_divisor": lambda s, t: principal_divisor(s, {"v0": 1, "v1": 2}),
+        "reduce": lambda s, t: reduce(s, Divisor(s, (0, 0, 1, 0, 0, 0)), "v1"),
+        "Divisor.at": lambda s, t: Divisor.zero(s).at("v3"),
+        "contract": lambda s, t: contract(s, [["v0", "v1"]]),
+        "build_morphism": lambda s, t: TestVertexNames._cover(s, t),
+    }
+
+    @pytest.mark.parametrize("call", VALID.values(), ids=VALID.keys())
+    def test_valid_name_takes_no_type_check(self, monkeypatch, call):
+        # an exact str takes one lookup in the index; only a miss is checked
+        source, target = cycle(6), cycle(3)
+        check_type = divgraph.graphs.check_type
+        calls = []
+
+        def counted(value, kind, what):
+            calls.append(what)
+            return check_type(value, kind, what)
+
+        monkeypatch.setattr(divgraph.graphs, "check_type", counted)
+        assert call(source, target) is not None
+        assert calls == []
 
 
 class TestOperands:

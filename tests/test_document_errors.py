@@ -3,10 +3,13 @@
 Each case builds one document through the library's own entry points
 (``build_graph``, ``build_morphism``, ``Divisor.from_map``) and is pinned to
 the outcome it has always had: the error class, slug and message, or for a
-document that is valid, the object it builds.  Names resolve through the
-graph's index first and fall back to ``vertex_index`` only on a miss, so
-these pins check that every miss still raises the same error, in the same
-order, as the checks it falls back to.
+document that is valid, the object it builds.  ``build_graph`` resolves
+an endpoint through its own index first and falls back to the type check
+and membership test only on a miss; a morphism or divisor name goes
+through ``Multigraph.vertex_index``, which takes the same exact-``str`` hit
+and checks only a miss; a two-element edge reference takes its own record
+probe before ``Multigraph.edge_index``.  These pins check that every miss
+still raises the same error, in the same order.
 """
 
 from __future__ import annotations

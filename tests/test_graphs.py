@@ -355,7 +355,8 @@ class TestRefine:
 
     def test_identity_refinement(self, theta222):
         target, iota = refine(theta222, 0)
-        assert target == theta222
+        assert target is theta222
+        assert iota.source is iota.target is theta222
         assert all(chain == () for chain in iota.edge_chains)
 
     def test_doubled_triangle_k2_counts(self, theta222):
